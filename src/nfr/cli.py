@@ -31,7 +31,7 @@ from .filter1d import FilterConfig, nf_step, iterate
 from .kernels import make_kernel
 from .noise_metrics import NoiseSpec, add_gaussian_noise, rmse, snr_measure
 from .pgm import PgmError, quantize, read_pgm, write_pgm
-from .rearrangement import Image, decreasing_rearrangement, histogram, reconstruct
+from .rearrangement import Image, decreasing_rearrangement, reconstruct
 from .reference_filters import SpatialConfig, bilateral, default_workers, direct_nf, nlm
 from .segmentation import segment_with_trace
 
@@ -95,7 +95,7 @@ def _report_skeleton(args) -> dict:
 
 def cmd_rearrange(args) -> int:
     img, _ = load_image(args.input)
-    rearr, _levels = decreasing_rearrangement(img)
+    rearr, levels = decreasing_rearrangement(img)
     cum = np.concatenate(([0.0], np.cumsum(rearr.masses)[:-1]))
     with open(f"{args.prefix}.rearrangement.csv", "w") as fh:
         fh.write("cumulative_mass_start,mass,value\n")
@@ -103,8 +103,9 @@ def cmd_rearrange(args) -> int:
             fh.write(f"{_fmt(c)},{_fmt(m)},{_fmt(v)}\n")
     with open(f"{args.prefix}.histogram.csv", "w") as fh:
         fh.write("value,mass\n")
-        for v, m in histogram(img):
-            fh.write(f"{_fmt(v)},{m}\n")
+        # the histogram is the level structure in ascending order
+        for v, m in zip(levels.values[::-1], levels.masses[::-1]):
+            fh.write(f"{_fmt(v)},{int(m)}\n")
     return 0
 
 

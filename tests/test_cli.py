@@ -283,3 +283,22 @@ class TestExitCodes:
                 "--filter", "nf-direct", "--iterations", "2", "--h", "25",
                 env={"NFR_THREADS": "2"})
         assert r.returncode == 0, r.stderr
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        import nfr
+
+        # As in run_cli of test_acceptance: the child runs elsewhere, so it
+        # gets the absolute source root of the package under test.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nfr.__file__)))
+        env = os.environ.copy()
+        if env.get("PYTHONPATH"):
+            src += os.pathsep + env["PYTHONPATH"]
+        env["PYTHONPATH"] = src
+        code = ("import nfr.cli, sys; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"

@@ -85,22 +85,39 @@ class TestGPrimitive:
         assert got == pytest.approx(h * h * (1 - math.exp(-s / (h * h))), rel=1e-14)
 
     def test_power_matches_midpoint_brute_force(self):
-        # oracle: midpoint rule at 1e6 points
-        k = make_kernel("power", 1.0, p=2.0)
+        # oracle: midpoint rule at 1e6 points, including exponents without a
+        # closed form; a loop rather than parametrize keeps the test id
         s = 1.0
         n = 1_000_000
         t = (np.arange(n) + 0.5) * (s / n)
-        brute = float(np.sum(1.0 / (1.0 + t)) * (s / n))  # K(sqrt(t)) = 1/(1+t)
-        assert g_primitive(k, s) == pytest.approx(brute, abs=1e-8)
+        for p in (1.5, 2.0, 3.0):
+            k = make_kernel("power", 1.0, p=p)
+            brute = float(np.sum(1.0 / (1.0 + t ** (p / 2))) * (s / n))  # K(sqrt(t))
+            assert g_primitive(k, s) == pytest.approx(brute, abs=1e-8), p
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [0.05, 1.0, 25.0])
+    @pytest.mark.parametrize("p, exact", [(2.0, np.log1p), (4.0, np.arctan)])
+    def test_power_matches_closed_forms(self, p, exact, h):
+        # g(s) = h^2 log1p(s/h^2) at p = 2 and h^2 arctan(s/h^2) at p = 4
+        u = np.geomspace(1e-12, 1e7, 200)
+        got = g_primitive(make_kernel("power", h, p=p), u * h * h)
+        want = h * h * exact(u)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             g_primitive(make_kernel("gaussian", 1.0), -0.5)
 
-    @pytest.mark.parametrize("name", ["gaussian", "power"])
-    def test_non_decreasing_and_bounded(self, name):
-        k = make_kernel(name, 2.0)
-        s = np.linspace(0.0, 40.0, 60)
+    @pytest.mark.parametrize("name, p, s_max", [
+        pytest.param("gaussian", 2.0, 40.0, id="gaussian"),
+        pytest.param("power", 2.0, 40.0, id="power"),
+        # a 16-bit range: g must stay positive at large s
+        pytest.param("power", 4.0, 65535.0 ** 2, id="power-p4-16bit"),
+    ])
+    def test_non_decreasing_and_bounded(self, name, p, s_max):
+        k = make_kernel(name, 2.0, p=p)
+        s = np.linspace(0.0, s_max, 60)
         g = g_primitive(k, s)
         assert np.all(np.diff(g) >= 0)
         assert np.all(g <= s * 1.0 + 1e-12)  # integrand bounded by K(0) = 1
