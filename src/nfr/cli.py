@@ -14,8 +14,9 @@ the authoritative one for numeric comparisons.  Long-running commands write
 a one-line JSON report (sorted keys) beside their outputs.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error, 4 numeric
-precondition violation.  NFR_THREADS caps worker threads for the pixel-
-domain filter.
+precondition violation or a computation too large for memory (the dense
+engine holds Q x Q float64 matrices for Q distinct levels).  NFR_THREADS
+caps worker threads for the pixel-domain filter.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     except (PgmError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

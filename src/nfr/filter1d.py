@@ -12,6 +12,11 @@ count.  Two weighting schemes exist: "varying" re-reads the weights from the
 current iterate (m = n), "fixed" keeps the weights of the initial one
 (m = 0).
 
+For the Gaussian kernel, `iterate` makes one pass per iteration over a
+single Q x Q float64 buffer that yields both J(v_n) and the weights of the
+next step, so the varying scheme holds one Q^2 array and the fixed scheme
+two (K(v_0) is kept); see `iterate` for what `k.evaluations` counts.
+
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
 reproduces the filter weights, which makes every varying-scheme step a
@@ -96,24 +101,43 @@ def _guard_step_values(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted_average(kmat: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row i of kmat averages x with weights kmat_ij m_j, then the guard.
+
+    One product K @ [m*x, m] gives the numerators and the row sums together.
+    """
+    num, den = (kmat @ np.stack((m * x, m), axis=1)).T
+    return _guard_step_values(num / den, x)
+
+
+def _gaussian_expm1(x: np.ndarray, h: float, out=None) -> np.ndarray:
+    """E_ij = expm1(-((x_i - x_j)/h)^2), built in one Q x Q buffer.
+
+    Pass the previous buffer as `out` to reuse it.  Every entry lies in
+    (-1, 0], so -h^2 m^T E m is J without cancellation, and E + 1 is the
+    Gaussian weight matrix.
+    """
+    e = np.subtract.outer(x, x, out=out)
+    e /= h
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    return np.expm1(e, out=e)
+
+
 def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rearrangement:
     """One filter step: kernel-weighted mass averages of v_values.
 
     Weights are read from v_weights (pass the same object for the varying
     scheme, the initial rearrangement for the fixed one); both arguments must
     live on the same mass partition.  Performs exactly Q^2 kernel
-    evaluations.
+    evaluations, all through `eval_scaled`.
     """
     if not np.array_equal(v_weights.masses, v_values.masses):
         raise ValueError("mass partitions of weights and values differ")
     w = v_weights.values
-    x = v_values.values
     m = v_values.masses
     kmat = eval_scaled(k, w[:, None] - w[None, :])
-    km = kmat * m  # row i: K_h(w_i - w_j) m_j
-    out = (km @ x) / km.sum(axis=1)
-    out = _guard_step_values(out, x)
-    return Rearrangement(out, m.copy())
+    return Rearrangement(_weighted_average(kmat, v_values.values, m), m.copy())
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -121,37 +145,70 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
 
     g is the kernel primitive (`g_primitive`), so dJ/dv_i recovers the
     filter's own weights K_h(v_i - v_j) — the varying-scheme iteration
-    descends this functional.  Zero exactly when v is constant.
+    descends this functional.  Zero exactly when v is constant.  The sum is
+    symmetric and g(0) = 0, so it is taken as twice the sum over i < j:
+    g_primitive sees Q(Q-1)/2 squared differences, not Q^2.
     """
     x = v.values
     m = v.masses
-    d2 = (x[:, None] - x[None, :]) ** 2
-    g = g_primitive(k, d2)
-    return float(m @ g @ m)
+    i, j = np.triu_indices(x.size, 1)
+    g = g_primitive(k, (x[i] - x[j]) ** 2)
+    return 2.0 * float((m[i] * m[j]) @ g)
 
 
 def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
-    """Run nf_step to convergence under the relative-J stopping rule.
+    """Run the filter to convergence under the relative-J stopping rule.
 
     Stops once |J(v_{n+1}) - J(v_n)| / |J(v_n)| < stop_tolerance or after
     max_iterations steps.  A constant iterate has J = 0 (the relative rule
     is undefined there); it is a fixed point, so the loop stops immediately
     with reason "tolerance".
+
+    Gaussian kernels take one pass per iteration over one Q x Q float64
+    buffer: E = expm1(-((v_i - v_j)/h)^2) of the newest iterate gives
+    J = -h^2 m^T E m, then becomes the weights K = E + 1 in place for the
+    next step.  The varying scheme holds that one buffer; the fixed scheme
+    keeps K(v0), formed by the first step, beside it.  `k.evaluations`
+    grows by Q^2 for each set of weights formed: iterations * Q^2 for the
+    varying scheme, Q^2 once for the fixed one.  Other profiles run
+    `nf_step` and `functional_j` in the same loop.
     """
     k = cfg.kernel
+    m = v0.masses
+    fixed = cfg.scheme == "fixed"
+    gaussian = isinstance(k.profile, GaussianProfile)
+    e = None     # Gaussian: the expm1 buffer of the newest iterate
+    kmat = None  # Gaussian: the weights of the last step
+
+    def j_of(v: Rearrangement) -> float:
+        nonlocal e
+        if not gaussian:
+            return functional_j(v, k)
+        e = _gaussian_expm1(v.values, k.h, out=e)
+        return -(k.h * k.h) * float(m @ (e @ m))
+
     trace = FilterTrace()
     trace.iterates.append(v0)
-    trace.j_values.append(functional_j(v0, k))
+    trace.j_values.append(j_of(v0))
     trace.sup_norms.append(float(np.max(np.abs(v0.values))))
 
     for _ in range(cfg.max_iterations):
         if trace.j_values[-1] == 0.0:
             trace.stop_reason = "tolerance"
             break
-        weights = v0 if cfg.scheme == "fixed" else trace.iterates[-1]
-        vn1 = nf_step(weights, trace.iterates[-1], k)
+        vn = trace.iterates[-1]
+        if not gaussian:
+            vn1 = nf_step(v0 if fixed else vn, vn, k)
+        else:
+            if kmat is None or not fixed:
+                e += 1.0  # E(vn) -> K(vn) in place
+                k.add_evaluations(e.size)
+                kmat = e
+                if fixed:
+                    e = None  # keep K(v0); later J's get a buffer of their own
+            vn1 = Rearrangement(_weighted_average(kmat, vn.values, m), m.copy())
         trace.iterates.append(vn1)
-        trace.j_values.append(functional_j(vn1, k))
+        trace.j_values.append(j_of(vn1))
         trace.sup_norms.append(float(np.max(np.abs(vn1.values))))
         j_prev, j_new = trace.j_values[-2], trace.j_values[-1]
         if abs(j_new - j_prev) / abs(j_prev) < cfg.stop_tolerance:

@@ -6,8 +6,10 @@ K(s) = 1/(1 + |s|^p) with p > 1.  Any object with the same interface
 order-preservation guarantees of the filter hold only for kernels passing
 the symmetric-decay check below; of the built-ins, only the Gaussian does.
 
-Kernel evaluations on the filtering path go through `eval_scaled`, which
-maintains a per-kernel counter used by the complexity benchmarks.
+Each kernel keeps a counter of evaluations on the filtering path, used by
+the complexity benchmarks: `eval_scaled` adds one per value it returns, and
+the one-pass Gaussian engine of `filter1d.iterate`, which builds its weights
+itself, adds Q^2 for each Q x Q weight matrix it forms.
 
 The primitive g used by the stopping functional has a closed form for the
 Gaussian.  For every other profile it is one vectorised numpy rule: with
@@ -68,7 +70,9 @@ class PowerDecayProfile:
 class Kernel:
     """A profile together with its scale h.
 
-    `evaluations` counts scalar evaluations made through `eval_scaled`; the
+    `evaluations` counts scalar evaluations of the filter weights: those
+    made through `eval_scaled`, plus the ones `filter1d.iterate` reports
+    through `add_evaluations` for the weight matrices it forms itself; the
     counter is lock-protected so concurrent filtering keeps it exact.
     Diagnostic paths (decay checks, the primitive) do not count.
     """

@@ -284,6 +284,18 @@ class TestExitCodes:
                 env={"NFR_THREADS": "2"})
         assert r.returncode == 0, r.stderr
 
+    def test_out_of_memory_is_4(self, tmp_path, squares_pgm, monkeypatch, capsys):
+        import nfr.cli
+
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+        monkeypatch.setattr(nfr.cli, "iterate", too_big)
+        rc = nfr.cli.main(["denoise", "--input", str(squares_pgm),
+                           "--output", str(tmp_path / "o.pgm"), "--h", "10"])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB for an array\n"
+
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self, tmp_path):

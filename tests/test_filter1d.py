@@ -1,14 +1,18 @@
 """Single filter steps, the descent functional, iteration control, expansion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nfr.filter1d
 from conftest import random_quantized
 from nfr import (
     FilterConfig,
+    NoiseSpec,
     Rearrangement,
+    add_gaussian_noise,
     decreasing_rearrangement,
     expansion_residual,
     functional_j,
@@ -16,11 +20,18 @@ from nfr import (
     iterate,
     make_kernel,
     nf_step,
+    synthetic,
 )
 
 
 def step_self(r, k):
     return nf_step(r, r, k)
+
+
+def full_j(v, k):
+    """J = m^T g(d^2) m over all Q^2 pairs, diagonal and both triangles."""
+    x, m = v.values, v.masses
+    return float(m @ g_primitive(k, (x[:, None] - x[None, :]) ** 2) @ m)
 
 
 class TestNfStep:
@@ -127,6 +138,22 @@ class TestFunctionalJ:
         r = decreasing_rearrangement(random_quantized(2))[0]
         assert functional_j(step_self(r, k), k) < functional_j(r, k)
 
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_power_j_sums_one_triangle(self, p, monkeypatch):
+        k = make_kernel("power", 10.0, p)
+        r = decreasing_rearrangement(random_quantized(5))[0]
+        q = r.values.size
+        full = full_j(r, k)
+        seen = []
+
+        def counting(k, s):
+            seen.append(np.size(s))
+            return g_primitive(k, s)
+
+        monkeypatch.setattr(nfr.filter1d, "g_primitive", counting)
+        assert functional_j(r, k) == pytest.approx(full, rel=1e-12)
+        assert sum(seen) <= q * (q - 1) // 2
+
 
 class TestIterate:
     def test_constant_stops_immediately(self, gauss):
@@ -174,6 +201,79 @@ class TestIterate:
             FilterConfig(gauss(1.0), stop_tolerance=0.0)
         with pytest.raises(ValueError):
             FilterConfig(gauss(1.0), max_iterations=0)
+
+
+def reference_iterate(v0, cfg):
+    """`iterate` spelled out from nf_step and `full_j`."""
+    k = cfg.kernel
+    iterates, j_values, reason = [v0], [full_j(v0, k)], "max_iterations"
+    for _ in range(cfg.max_iterations):
+        if j_values[-1] == 0.0:
+            reason = "tolerance"
+            break
+        weights = v0 if cfg.scheme == "fixed" else iterates[-1]
+        iterates.append(nf_step(weights, iterates[-1], k))
+        j_values.append(full_j(iterates[-1], k))
+        if abs(j_values[-1] - j_values[-2]) / abs(j_values[-2]) < cfg.stop_tolerance:
+            reason = "tolerance"
+            break
+    return iterates, j_values, reason
+
+
+def noisy_squares_32():
+    return add_gaussian_noise(synthetic.squares(32), NoiseSpec(10.0, 7))
+
+
+class TestGaussianPass:
+    """The one-buffer Gaussian path of `iterate` against its definition."""
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("h", [5.0, 25.0, 80.0])
+    @pytest.mark.parametrize("image", [lambda: random_quantized(11), noisy_squares_32],
+                             ids=["random16", "noisy_squares32"])
+    def test_matches_reference_loop(self, scheme, h, image):
+        v0 = decreasing_rearrangement(image())[0]
+        cfg = FilterConfig(make_kernel("gaussian", h), scheme=scheme, max_iterations=25)
+        trace = iterate(v0, cfg)
+        iterates, j_values, reason = reference_iterate(v0, cfg)
+        assert trace.iterations == len(iterates) - 1
+        assert trace.stop_reason == reason
+        # Tolerances are relative to the scale of the input: noisy values
+        # cross zero, and J of a nearly collapsed iterate is a sum of squared
+        # level gaps ~1e-5, so entrywise relative errors mean nothing there.
+        np.testing.assert_allclose(trace.j_values, j_values, rtol=1e-12,
+                                   atol=1e-12 * j_values[0])
+        scale = float(np.max(np.abs(v0.values)))
+        for got, want in zip(trace.iterates, iterates):
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                       atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("scheme, buffers", [("varying", 1.5), ("fixed", 2.5)])
+    def test_peak_memory(self, scheme, buffers):
+        # one Q x Q float64 buffer for the varying scheme, K(v0) plus one for
+        # the fixed scheme
+        q = 1024
+        v0 = Rearrangement(np.linspace(255.0, 0.0, q), np.ones(q))
+        cfg = FilterConfig(make_kernel("gaussian", 25.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=3)
+        tracemalloc.start()
+        try:
+            trace = iterate(v0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 3
+        assert peak <= buffers * 8 * q * q
+
+    @pytest.mark.parametrize("scheme, weight_sets", [("varying", 4), ("fixed", 1)])
+    def test_evaluation_count(self, scheme, weight_sets):
+        v0 = decreasing_rearrangement(random_quantized(12))[0]
+        q = v0.values.size
+        k = make_kernel("gaussian", 20.0)
+        trace = iterate(v0, FilterConfig(k, scheme=scheme, stop_tolerance=1e-300,
+                                         max_iterations=4))
+        assert trace.iterations == 4
+        assert k.evaluations == weight_sets * q * q
 
 
 class TestExpansionResidual:
