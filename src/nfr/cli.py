@@ -10,8 +10,9 @@
 Images travel as binary PGM (8/16-bit) or as lossless float CSV (a
 "# shape: ..." comment line followed by one %.17g value per line, row
 major); PGM output is a rounded, clamped presentation copy, the CSV path is
-the authoritative one for numeric comparisons.  Long-running commands write
-a one-line JSON report (sorted keys) beside their outputs.
+the authoritative one for numeric comparisons.  `denoise` and `segment`
+write a one-line JSON report (sorted keys) through one writer,
+`_write_report`; only `segment` adds `region_count`.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error, 4 numeric
 precondition violation or a computation too large for memory (the dense
@@ -79,17 +80,29 @@ def load_image(path) -> tuple[Image, int]:
     raise FormatError(f"{p}: unknown image extension (want .pgm or .csv)")
 
 
-def _write_report(path, payload: dict):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+def _write_report(path, args, k, ticks, outputs, **fields):
+    """Write the one-line JSON report of `denoise` or `segment`.
 
-
-def _report_skeleton(args) -> dict:
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in ("func", "_argv") and v is not None
+    ticks: the four perf_counter readings that open and close the read,
+    filter and write phases.  fields: the command's own entries.
+    """
+    report = {
+        "command": getattr(args, "_argv", []),
+        "params": {key: v for key, v in vars(args).items()
+                   if key not in ("func", "_argv") and v is not None},
+        **fields,
+        "kernel_evaluations": k.evaluations,
+        "timings_ms": dict(zip(("read", "filter", "write"),
+                               ((b - a) * 1e3 for a, b in zip(ticks, ticks[1:])))),
+        "outputs": outputs,
     }
-    return {"command": getattr(args, "_argv", []), "params": params}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
+
+
+def _filter_config(args, k) -> FilterConfig:
+    return FilterConfig(kernel=k, scheme=args.scheme, stop_tolerance=args.tol,
+                        max_iterations=args.max_iter)
 
 
 # ---------------------------------------------------------------- commands
@@ -110,77 +123,52 @@ def cmd_rearrange(args) -> int:
     return 0
 
 
-def _spatial_config(args) -> SpatialConfig:
-    return SpatialConfig(rho=args.rho, patch_radius=args.patch,
-                         window_radius=args.window)
-
-
 def cmd_denoise(args) -> int:
-    workers = default_workers()
-    t0 = time.perf_counter()
+    ticks = [time.perf_counter()]
     img, maxval = load_image(args.input)
-    t_read = time.perf_counter()
+    ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
-    iterations_used = None
-    stop_reason = None
-    j_trace = None
+    stop_reason = j_trace = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
-        cfg = FilterConfig(kernel=k, scheme=args.scheme,
-                           stop_tolerance=args.tol,
-                           max_iterations=args.max_iter)
-        trace = iterate(rearr, cfg)
+        trace = iterate(rearr, _filter_config(args, k))
         out = reconstruct(levels, trace.iterates[-1].values)
-        iterations_used = trace.iterations
-        stop_reason = trace.stop_reason
-        j_trace = trace.j_values
-    elif args.filter == "nf-direct":
-        iterations_used = args.iterations if args.iterations is not None else 10
-        out = direct_nf(img, k, iterations_used, args.scheme, workers=workers)
-    elif args.filter == "bilateral":
-        iterations_used = args.iterations if args.iterations is not None else 1
-        out = bilateral(img, k, _spatial_config(args), iterations_used)
-    else:  # nlm
-        iterations_used = args.iterations if args.iterations is not None else 1
-        out = nlm(img, k, _spatial_config(args), iterations_used)
-    t_filter = time.perf_counter()
+        iterations, stop_reason, j_trace = (trace.iterations, trace.stop_reason,
+                                            trace.j_values)
+    else:
+        default = 10 if args.filter == "nf-direct" else 1
+        iterations = default if args.iterations is None else args.iterations
+        if args.filter == "nf-direct":
+            out = direct_nf(img, k, iterations, args.scheme)
+        else:
+            windowed = bilateral if args.filter == "bilateral" else nlm
+            sp = SpatialConfig(rho=args.rho, patch_radius=args.patch,
+                               window_radius=args.window)
+            out = windowed(img, k, sp, iterations)
+    ticks.append(time.perf_counter())
 
     write_pgm(args.output, quantize(out.to_array(), maxval), maxval)
     outputs = [args.output]
     if args.csv:
         write_float_csv(args.csv, out)
         outputs.append(args.csv)
-    t_write = time.perf_counter()
+    ticks.append(time.perf_counter())
 
-    report = _report_skeleton(args)
-    report.update({
-        "iterations": iterations_used,
-        "stop_reason": stop_reason,
-        "j_trace": j_trace,
-        "kernel_evaluations": k.evaluations,
-        "timings_ms": {
-            "read": (t_read - t0) * 1e3,
-            "filter": (t_filter - t_read) * 1e3,
-            "write": (t_write - t_filter) * 1e3,
-        },
-        "outputs": outputs,
-    })
-    report_path = args.report or f"{args.output}.report.jsonl"
-    _write_report(report_path, report)
+    _write_report(args.report or f"{args.output}.report.jsonl", args, k, ticks,
+                  outputs, iterations=iterations, stop_reason=stop_reason,
+                  j_trace=j_trace)
     return 0
 
 
 def cmd_segment(args) -> int:
-    t0 = time.perf_counter()
+    ticks = [time.perf_counter()]
     img, _ = load_image(args.input)
-    t_read = time.perf_counter()
+    ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
-    cfg = FilterConfig(kernel=k, scheme=args.scheme,
-                       stop_tolerance=args.tol, max_iterations=args.max_iter)
-    seg, trace = segment_with_trace(img, cfg, args.merge_tol)
-    t_filter = time.perf_counter()
+    seg, trace = segment_with_trace(img, _filter_config(args, k), args.merge_tol)
+    ticks.append(time.perf_counter())
 
     labels_path = f"{args.prefix}.labels.pgm"
     write_pgm(labels_path, seg.labels.reshape(seg.shape), 65535)
@@ -195,23 +183,12 @@ def cmd_segment(args) -> int:
         for i, (v, m) in enumerate(zip(seg.region_values, seg.region_masses)):
             fh.write(f"{i},{_fmt(v)},{_fmt(m)}\n")
     outputs.append(regions_path)
-    t_write = time.perf_counter()
+    ticks.append(time.perf_counter())
 
-    report = _report_skeleton(args)
-    report.update({
-        "iterations": trace.iterations,
-        "stop_reason": trace.stop_reason,
-        "j_trace": trace.j_values,
-        "region_count": seg.region_count,
-        "kernel_evaluations": k.evaluations,
-        "timings_ms": {
-            "read": (t_read - t0) * 1e3,
-            "filter": (t_filter - t_read) * 1e3,
-            "write": (t_write - t_filter) * 1e3,
-        },
-        "outputs": outputs,
-    })
-    _write_report(args.report or f"{args.prefix}.report.jsonl", report)
+    _write_report(args.report or f"{args.prefix}.report.jsonl", args, k, ticks,
+                  outputs, iterations=trace.iterations,
+                  stop_reason=trace.stop_reason, j_trace=trace.j_values,
+                  region_count=seg.region_count)
     return 0
 
 
@@ -238,7 +215,6 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    workers = default_workers()
     try:
         sides = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
@@ -264,7 +240,7 @@ def cmd_bench(args) -> int:
 
         k.reset_evaluations()
         t0 = time.perf_counter()
-        direct_nf(img, k, 1, "varying", workers=workers)
+        direct_nf(img, k, 1, "varying")
         ms_direct = (time.perf_counter() - t0) * 1e3
         evals_direct = k.evaluations
 
@@ -304,6 +280,15 @@ def _add_kernel_flags(p, h_required=True):
                    help="power-decay exponent (power kernel only)")
 
 
+def _add_filter_flags(p):
+    _add_kernel_flags(p)
+    p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
+    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="relative stopping tolerance on the J functional")
+    p.add_argument("--report", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nfr",
@@ -322,33 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output PGM path")
     p.add_argument("--filter", choices=("nf", "nf-direct", "bilateral", "nlm"),
                    default="nf")
-    _add_kernel_flags(p)
-    p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
+    _add_filter_flags(p)
     p.add_argument("--iterations", type=int, default=None,
                    help="iteration count (nf-direct default 10, "
                         "bilateral/nlm default 1)")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative stopping tolerance on the J functional")
     p.add_argument("--rho", type=float, default=2.0,
                    help="spatial scale (bilateral) / patch std (nlm)")
     p.add_argument("--patch", type=int, default=1, help="nlm patch radius")
     p.add_argument("--window", type=int, default=None,
                    help="window radius (bilateral default ceil(3*rho), nlm 10)")
     p.add_argument("--csv", default=None, help="also dump lossless float CSV")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("segment", help="filter to convergence, emit regions")
     p.add_argument("--input", required=True)
     p.add_argument("--prefix", required=True)
-    _add_kernel_flags(p)
-    p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-5)
+    _add_filter_flags(p)
     p.add_argument("--merge-tol", type=float, default=1e-3, dest="merge_tol",
                    help="region merge tolerance, relative to dynamic range")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("noise", help="add seeded Gaussian noise at a given SNR")
@@ -381,11 +357,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        workers_probe = default_workers()  # fail fast on a bad NFR_THREADS
+        default_workers()  # fail fast on a bad NFR_THREADS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    del workers_probe
     args = build_parser().parse_args(argv)
     args._argv = list(argv)
     try:

@@ -101,13 +101,22 @@ def _guard_step_values(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_average(kmat: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _weighted_average(kmat: np.ndarray, x: np.ndarray, m: np.ndarray,
+                      k: Kernel) -> np.ndarray:
     """Row i of kmat averages x with weights kmat_ij m_j, then the guard.
 
     One product K @ [m*x, m] gives the numerators and the row sums together.
+    An upward jump the guard leaves is a genuine order violation: the kernel
+    k does not preserve the level order, so the result is no rearrangement.
     """
     num, den = (kmat @ np.stack((m * x, m), axis=1)).T
-    return _guard_step_values(num / den, x)
+    out = _guard_step_values(num / den, x)
+    if np.any(np.diff(out) > 0.0):
+        raise ValueError(
+            f"{k!r} breaks the level order: the 1-D engine needs an "
+            "order-preserving (log-concave) kernel; use direct_nf "
+            "(--filter nf-direct) for this kernel")
+    return out
 
 
 def _gaussian_expm1(x: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -137,7 +146,7 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
     w = v_weights.values
     m = v_values.masses
     kmat = eval_scaled(k, w[:, None] - w[None, :])
-    return Rearrangement(_weighted_average(kmat, v_values.values, m), m.copy())
+    return Rearrangement(_weighted_average(kmat, v_values.values, m, k), m.copy())
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -168,17 +177,18 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
     buffer: E = expm1(-((v_i - v_j)/h)^2) of the newest iterate gives
     J = -h^2 m^T E m, then becomes the weights K = E + 1 in place for the
     next step.  The varying scheme holds that one buffer; the fixed scheme
-    keeps K(v0), formed by the first step, beside it.  `k.evaluations`
-    grows by Q^2 for each set of weights formed: iterations * Q^2 for the
-    varying scheme, Q^2 once for the fixed one.  Other profiles run
-    `nf_step` and `functional_j` in the same loop.
+    keeps K(v0), formed by the first step, beside it.  Other profiles form
+    the weights through `eval_scaled` and J through `functional_j`.  For
+    every kernel, `k.evaluations` grows by Q^2 for each set of weights
+    formed: iterations * Q^2 for the varying scheme, Q^2 once for the fixed
+    one.  A kernel that breaks the level order raises ValueError.
     """
     k = cfg.kernel
     m = v0.masses
     fixed = cfg.scheme == "fixed"
     gaussian = isinstance(k.profile, GaussianProfile)
     e = None     # Gaussian: the expm1 buffer of the newest iterate
-    kmat = None  # Gaussian: the weights of the last step
+    kmat = None  # the weights of the last step
 
     def j_of(v: Rearrangement) -> float:
         nonlocal e
@@ -196,17 +206,17 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
         if trace.j_values[-1] == 0.0:
             trace.stop_reason = "tolerance"
             break
-        vn = trace.iterates[-1]
-        if not gaussian:
-            vn1 = nf_step(v0 if fixed else vn, vn, k)
-        else:
-            if kmat is None or not fixed:
+        x = trace.iterates[-1].values
+        if kmat is None or not fixed:
+            if gaussian:
                 e += 1.0  # E(vn) -> K(vn) in place
                 k.add_evaluations(e.size)
                 kmat = e
                 if fixed:
                     e = None  # keep K(v0); later J's get a buffer of their own
-            vn1 = Rearrangement(_weighted_average(kmat, vn.values, m), m.copy())
+            else:
+                kmat = eval_scaled(k, np.subtract.outer(x, x))
+        vn1 = Rearrangement(_weighted_average(kmat, x, m, k), m.copy())
         trace.iterates.append(vn1)
         trace.j_values.append(j_of(vn1))
         trace.sup_norms.append(float(np.max(np.abs(vn1.values))))

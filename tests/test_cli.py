@@ -284,6 +284,16 @@ class TestExitCodes:
                 env={"NFR_THREADS": "2"})
         assert r.returncode == 0, r.stderr
 
+    def test_order_breaking_kernel_is_4(self, tmp_path, noisy_csv):
+        for scheme in ("varying", "fixed"):
+            r = run("denoise", "--input", noisy_csv, "--output", tmp_path / "o.pgm",
+                    "--kernel", "power", "--h", "25", "--scheme", scheme)
+            assert r.returncode == 4
+            assert r.stderr.startswith("error: Kernel(power, h=25.0) breaks the "
+                                       "level order")
+            assert "order-preserving (log-concave) kernel" in r.stderr
+            assert "--filter nf-direct" in r.stderr
+
     def test_out_of_memory_is_4(self, tmp_path, squares_pgm, monkeypatch, capsys):
         import nfr.cli
 
@@ -295,6 +305,40 @@ class TestExitCodes:
                            "--output", str(tmp_path / "o.pgm"), "--h", "10"])
         assert rc == 4
         assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB for an array\n"
+
+
+class TestReport:
+    def test_schema(self, tmp_path, squares_pgm, monkeypatch):
+        import nfr.cli
+
+        monkeypatch.delenv("NFR_THREADS", raising=False)
+        keys = {"command", "params", "iterations", "stop_reason", "j_trace",
+                "kernel_evaluations", "timings_ms", "outputs"}
+        run_params = {"command", "input", "kernel", "h", "p", "scheme",
+                      "max_iter", "tol", "report"}
+        for name in ("nf", "nf-direct", "bilateral", "nlm"):
+            rep = tmp_path / f"{name}.json"
+            rc = nfr.cli.main(["denoise", "--input", str(squares_pgm),
+                               "--output", str(tmp_path / f"{name}.pgm"),
+                               "--filter", name, "--h", "25", "--report", str(rep)])
+            assert rc == 0
+            report = json.loads(rep.read_text())
+            assert set(report) == keys, name
+            assert set(report["params"]) == run_params | {
+                "output", "filter", "rho", "patch"}, name
+            assert set(report["timings_ms"]) == {"read", "filter", "write"}
+            if name != "nf":
+                assert report["stop_reason"] is None, name
+                assert report["j_trace"] is None, name
+
+        rc = nfr.cli.main(["segment", "--input", str(squares_pgm),
+                           "--prefix", str(tmp_path / "seg"), "--h", "25",
+                           "--report", str(tmp_path / "seg.json")])
+        assert rc == 0
+        report = json.loads((tmp_path / "seg.json").read_text())
+        assert set(report) == keys | {"region_count"}
+        assert set(report["params"]) == run_params | {"prefix", "merge_tol"}
+        assert set(report["timings_ms"]) == {"read", "filter", "write"}
 
 
 class TestStartup:

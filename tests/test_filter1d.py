@@ -276,6 +276,35 @@ class TestGaussianPass:
         assert k.evaluations == weight_sets * q * q
 
 
+class TestPowerKernel:
+    """Non-Gaussian profiles share the step path of `iterate`."""
+
+    def test_fixed_scheme_forms_weights_once(self):
+        v0 = decreasing_rearrangement(random_quantized(11))[0]
+        q = v0.values.size
+        k = make_kernel("power", 200.0, 2.0)
+        cfg = FilterConfig(k, scheme="fixed", stop_tolerance=1e-300, max_iterations=4)
+        trace = iterate(v0, cfg)
+        assert trace.iterations == 4
+        assert k.evaluations == q * q
+        iterates, j_values, reason = reference_iterate(v0, cfg)
+        assert trace.stop_reason == reason
+        for got, want in zip(trace.iterates, iterates, strict=True):
+            assert np.array_equal(got.values, want.values)
+        np.testing.assert_allclose(trace.j_values, j_values, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_order_break_is_reported(self, scheme):
+        # the power kernel is not log-concave: on noisy squares at h = 25 the
+        # first step leaves upward gaps far above the guard's roundoff snap
+        v0 = decreasing_rearrangement(add_gaussian_noise(synthetic.squares(16),
+                                                         NoiseSpec(10.0, 7)))[0]
+        cfg = FilterConfig(make_kernel("power", 25.0), scheme=scheme)
+        with pytest.raises(ValueError, match=r"Kernel\(power, h=25\.0\) breaks "
+                           r"the level order.*log-concave.*--filter nf-direct"):
+            iterate(v0, cfg)
+
+
 class TestExpansionResidual:
     M = 512
 
