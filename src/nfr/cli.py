@@ -221,6 +221,10 @@ def cmd_bench(args) -> int:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return 2
     q = args.q
+    if q < 2:
+        print(f"error: bad --q {q}: the ramp needs at least 2 levels",
+              file=sys.stderr)
+        return 2
     rows = []
     for side in sides:
         n = side * side

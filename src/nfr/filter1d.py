@@ -12,10 +12,10 @@ count.  Two weighting schemes exist: "varying" re-reads the weights from the
 current iterate (m = n), "fixed" keeps the weights of the initial one
 (m = 0).
 
-For the Gaussian kernel, `iterate` makes one pass per iteration over a
-single Q x Q float64 buffer that yields both J(v_n) and the weights of the
-next step, so the varying scheme holds one Q^2 array and the fixed scheme
-two (K(v_0) is kept); see `iterate` for what `k.evaluations` counts.
+`iterate` runs one loop over a dense engine (J of an iterate, one averaging
+step).  The Gaussian engine makes one pass per iteration over one Q x Q
+float64 buffer for J(v_n) and the next weights, and the fixed scheme keeps
+K(v_0) beside it.  Engines check their buffers against available memory.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -101,14 +101,14 @@ def _guard_step_values(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_average(kmat: np.ndarray, x: np.ndarray, m: np.ndarray,
-                      k: Kernel) -> np.ndarray:
-    """Row i of kmat averages x with weights kmat_ij m_j, then the guard.
+def _weighted_average(kmat: np.ndarray, v: Rearrangement, k: Kernel) -> Rearrangement:
+    """Row i of kmat averages v with weights kmat_ij m_j, then the guard.
 
     One product K @ [m*x, m] gives the numerators and the row sums together.
     An upward jump the guard leaves is a genuine order violation: the kernel
     k does not preserve the level order, so the result is no rearrangement.
     """
+    x, m = v.values, v.masses
     num, den = (kmat @ np.stack((m * x, m), axis=1)).T
     out = _guard_step_values(num / den, x)
     if np.any(np.diff(out) > 0.0):
@@ -116,21 +116,7 @@ def _weighted_average(kmat: np.ndarray, x: np.ndarray, m: np.ndarray,
             f"{k!r} breaks the level order: the 1-D engine needs an "
             "order-preserving (log-concave) kernel; use direct_nf "
             "(--filter nf-direct) for this kernel")
-    return out
-
-
-def _gaussian_expm1(x: np.ndarray, h: float, out=None) -> np.ndarray:
-    """E_ij = expm1(-((x_i - x_j)/h)^2), built in one Q x Q buffer.
-
-    Pass the previous buffer as `out` to reuse it.  Every entry lies in
-    (-1, 0], so -h^2 m^T E m is J without cancellation, and E + 1 is the
-    Gaussian weight matrix.
-    """
-    e = np.subtract.outer(x, x, out=out)
-    e /= h
-    np.square(e, out=e)
-    np.negative(e, out=e)
-    return np.expm1(e, out=e)
+    return Rearrangement(out, m.copy())
 
 
 def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rearrangement:
@@ -144,9 +130,7 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
     if not np.array_equal(v_weights.masses, v_values.masses):
         raise ValueError("mass partitions of weights and values differ")
     w = v_weights.values
-    m = v_values.masses
-    kmat = eval_scaled(k, w[:, None] - w[None, :])
-    return Rearrangement(_weighted_average(kmat, v_values.values, m, k), m.copy())
+    return _weighted_average(eval_scaled(k, w[:, None] - w[None, :]), v_values, k)
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -165,63 +149,89 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
     return 2.0 * float((m[i] * m[j]) @ g)
 
 
+def _mem_available(path="/proc/meminfo"):
+    """MemAvailable of /proc/meminfo in bytes; None where unreadable."""
+    try:
+        with open(path) as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return 1024 * int(fields["MemAvailable"].split()[0])
+    except (OSError, KeyError, ValueError):
+        return None
+
+
+class _DenseEngine:
+    """J through `functional_j`, weights through `eval_scaled`.  words[fixed]:
+    the peak in Q x Q float64 arrays (tracemalloc, power kernel p = 2, 4)."""
+
+    words = (4, 4)
+    kmat = None  # the weights of v0, kept by the fixed scheme
+
+    def __init__(self, k: Kernel, m: np.ndarray, fixed: bool):
+        self.k, self.m, self.fixed = k, m, fixed
+        need, avail = 8 * self.words[fixed] * m.size ** 2, _mem_available()
+        if avail is not None and need > avail:
+            raise MemoryError(f"Q = {m.size} levels need {need} bytes ({need / 2**30:.1f} "
+                              f"GiB) of Q x Q buffers; {avail} bytes are available")
+
+    def j(self, v: Rearrangement) -> float:
+        return functional_j(v, self.k)
+
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        return eval_scaled(self.k, np.subtract.outer(x, x))
+
+    def step(self, v: Rearrangement) -> Rearrangement:
+        kmat = self.kmat if self.kmat is not None else self.weights(v.values)
+        self.kmat = kmat if self.fixed else None
+        return _weighted_average(kmat, v, self.k)
+
+
+class _GaussianEngine(_DenseEngine):
+    """j(v) fills E = expm1(-((v_i - v_j)/h)^2) in (-1, 0]: J = -h^2 m^T E m
+    without cancellation.  weights(v), which must follow j(v), makes E the
+    weights E + 1 in place; later J's of the fixed scheme get a new buffer."""
+
+    words = (1, 2)
+    e = None
+
+    def j(self, v: Rearrangement) -> float:
+        h = self.k.h
+        e = np.subtract.outer(v.values, v.values, out=self.e)
+        e /= h
+        np.square(e, out=e)
+        np.negative(e, out=e)
+        self.e = np.expm1(e, out=e)
+        return -(h * h) * float(self.m @ (e @ self.m))
+
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        kmat, self.e = self.e, None if self.fixed else self.e
+        kmat += 1.0  # E -> K in place
+        self.k.add_evaluations(kmat.size)
+        return kmat
+
+
 def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
     """Run the filter to convergence under the relative-J stopping rule.
 
-    Stops once |J(v_{n+1}) - J(v_n)| / |J(v_n)| < stop_tolerance or after
-    max_iterations steps.  A constant iterate has J = 0 (the relative rule
-    is undefined there); it is a fixed point, so the loop stops immediately
-    with reason "tolerance".
-
-    Gaussian kernels take one pass per iteration over one Q x Q float64
-    buffer: E = expm1(-((v_i - v_j)/h)^2) of the newest iterate gives
-    J = -h^2 m^T E m, then becomes the weights K = E + 1 in place for the
-    next step.  The varying scheme holds that one buffer; the fixed scheme
-    keeps K(v0), formed by the first step, beside it.  Other profiles form
-    the weights through `eval_scaled` and J through `functional_j`.  For
-    every kernel, `k.evaluations` grows by Q^2 for each set of weights
-    formed: iterations * Q^2 for the varying scheme, Q^2 once for the fixed
-    one.  A kernel that breaks the level order raises ValueError.
+    Stops once |J(v_{n+1}) - J(v_n)| / |J(v_n)| < stop_tolerance, or at a
+    constant iterate (J = 0, a fixed point), with reason "tolerance"; else
+    after max_iterations steps.  `k.evaluations` grows by Q^2 per set of
+    weights formed: iterations * Q^2 (varying scheme) or Q^2 once (fixed).
+    Raises MemoryError, before allocating, for Q x Q buffers beyond the
+    available memory, and ValueError for a kernel that breaks the level order.
     """
     k = cfg.kernel
-    m = v0.masses
-    fixed = cfg.scheme == "fixed"
-    gaussian = isinstance(k.profile, GaussianProfile)
-    e = None     # Gaussian: the expm1 buffer of the newest iterate
-    kmat = None  # the weights of the last step
-
-    def j_of(v: Rearrangement) -> float:
-        nonlocal e
-        if not gaussian:
-            return functional_j(v, k)
-        e = _gaussian_expm1(v.values, k.h, out=e)
-        return -(k.h * k.h) * float(m @ (e @ m))
-
-    trace = FilterTrace()
-    trace.iterates.append(v0)
-    trace.j_values.append(j_of(v0))
-    trace.sup_norms.append(float(np.max(np.abs(v0.values))))
-
-    for _ in range(cfg.max_iterations):
-        if trace.j_values[-1] == 0.0:
-            trace.stop_reason = "tolerance"
-            break
-        x = trace.iterates[-1].values
-        if kmat is None or not fixed:
-            if gaussian:
-                e += 1.0  # E(vn) -> K(vn) in place
-                k.add_evaluations(e.size)
-                kmat = e
-                if fixed:
-                    e = None  # keep K(v0); later J's get a buffer of their own
-            else:
-                kmat = eval_scaled(k, np.subtract.outer(x, x))
-        vn1 = Rearrangement(_weighted_average(kmat, x, m, k), m.copy())
-        trace.iterates.append(vn1)
-        trace.j_values.append(j_of(vn1))
-        trace.sup_norms.append(float(np.max(np.abs(vn1.values))))
-        j_prev, j_new = trace.j_values[-2], trace.j_values[-1]
-        if abs(j_new - j_prev) / abs(j_prev) < cfg.stop_tolerance:
+    engine = (_GaussianEngine if isinstance(k.profile, GaussianProfile)
+              else _DenseEngine)(k, v0.masses, cfg.scheme == "fixed")
+    trace, v = FilterTrace(), v0
+    for n in range(cfg.max_iterations + 1):
+        if n:
+            v = engine.step(v)
+        trace.iterates.append(v)
+        trace.j_values.append(engine.j(v))
+        trace.sup_norms.append(float(np.max(np.abs(v.values))))
+        j = trace.j_values
+        if ((n and abs(j[-1] - j[-2]) / abs(j[-2]) < cfg.stop_tolerance)
+                or (j[-1] == 0.0 and n < cfg.max_iterations)):
             trace.stop_reason = "tolerance"
             break
     return trace

@@ -1,18 +1,21 @@
 """Kernel profiles, their scaled forms K_h(xi) = K(xi/h), and validity checks.
 
 Two profiles ship: the Gaussian K(s) = exp(-s^2) and the power-decay family
-K(s) = 1/(1 + |s|^p) with p > 1.  Any object with the same interface
-(callable plus an analytic `derivative`) is accepted by the engine, but the
-order-preservation guarantees of the filter hold only for kernels passing
-the symmetric-decay check below; of the built-ins, only the Gaussian does.
+K(s) = 1/(1 + |s|^p) with p > 1.  A profile is a callable with an analytic
+`derivative` and, optionally, `primitive(s, h)`; any such object is accepted
+by the engine, but the order-preservation guarantees of the filter hold only
+for kernels passing the symmetric-decay check below; of the built-ins, only
+the Gaussian does.
 
 Each kernel keeps a counter of evaluations on the filtering path, used by
 the complexity benchmarks: `eval_scaled` adds one per value it returns, and
-the one-pass Gaussian engine of `filter1d.iterate`, which builds its weights
-itself, adds Q^2 for each Q x Q weight matrix it forms.
+the one-pass Gaussian engine of `filter1d`, which builds its weights itself,
+adds Q^2 for each Q x Q weight matrix it forms.
 
-The primitive g used by the stopping functional has a closed form for the
-Gaussian.  For every other profile it is one vectorised numpy rule: with
+The primitive g used by the stopping functional comes from the profile's own
+`primitive`: a closed form for the Gaussian, and for the power family at
+p = 2 (h^2 log1p(s/h^2)) and p = 4 (h^2 arctan(s/h^2)).  Other exponents,
+and profiles without `primitive`, use one vectorised numpy rule: with
 R = sqrt(s)/h and r = e^y, g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over
 [min(ln R, 0) - 20, ln R], split into uniform panels of width <= 0.25 with a
 16-node Gauss-Legendre rule on each.  For the power family it is tested to a
@@ -40,6 +43,10 @@ class GaussianProfile:
         s = np.asarray(s, dtype=np.float64)
         return -2.0 * s * np.exp(-(s * s))
 
+    def primitive(self, s, h):
+        """g(s) = h^2 (1 - exp(-s/h^2)), taken through expm1."""
+        return -(h * h) * np.expm1(-s / (h * h))
+
 
 class PowerDecayProfile:
     """K(s) = 1/(1 + |s|^p), p > 1.
@@ -65,6 +72,14 @@ class PowerDecayProfile:
         s = np.asarray(s, dtype=np.float64)
         a = np.abs(s) ** (self.p - 1.0)
         return -self.p * a * np.sign(s) / (1.0 + np.abs(s) ** self.p) ** 2
+
+    def primitive(self, s, h):
+        """Closed forms at p = 2 and p = 4; the log-panel rule otherwise."""
+        if self.p == 2.0:
+            return (h * h) * np.log1p(s / (h * h))
+        if self.p == 4.0:
+            return (h * h) * np.arctan(s / (h * h))
+        return _log_panel_primitive(self, h, s)
 
 
 class Kernel:
@@ -127,21 +142,21 @@ _CHUNK_NODES = 1 << 19   # quadrature nodes per chunk (4 MB per array)
 def g_primitive(k: Kernel, s):
     """Primitive g(s) = integral of K_h(sqrt(t)) dt over [0, s], s >= 0.
 
-    Gaussian kernels have the closed form h^2 (1 - exp(-s / h^2)); any other
-    profile uses the log-radius Gauss-Legendre rule of the module docstring,
-    tested to relative error 1e-12 for power kernels with p <= 20.  That rule
-    calls `k.profile` directly, so it adds nothing to `k.evaluations`.
+    Calls `k.profile.primitive(s, h)`; a profile without one uses the
+    log-radius Gauss-Legendre rule of the module docstring, tested to
+    relative error 1e-12 for power kernels with p <= 20.  Neither calls
+    `eval_scaled`, so the primitive adds nothing to `k.evaluations`.
     g is non-decreasing with g(0) = 0 and g(s) <= s * K(0).
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0.0):
         raise ValueError("g_primitive argument must be nonnegative")
-    h = k.h
-    if isinstance(k.profile, GaussianProfile):
-        out = -(h * h) * np.expm1(-s_arr / (h * h))
+    primitive = getattr(k.profile, "primitive", None)
+    if primitive is None:
+        out = _log_panel_primitive(k.profile, k.h, s_arr)
     else:
-        out = _log_panel_primitive(k.profile, h, s_arr)
+        out = primitive(s_arr, k.h)
     return float(out) if scalar else out
 
 

@@ -215,6 +215,17 @@ class TestBench:
         r = run("bench", "--sizes", "16,huge", "--output", tmp_path / "b.csv")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_bad_q(self, tmp_path, q, capsys):
+        import nfr.cli
+
+        out = tmp_path / "b.csv"
+        rc = nfr.cli.main(["bench", "--sizes", "16", f"--q={q}", "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: bad --q {q}: the ramp needs "
+                                           "at least 2 levels\n")
+        assert not out.exists()
+
     def test_too_many_levels(self, tmp_path):
         r = run("bench", "--sizes", "4", "--q", "256",
                 "--output", tmp_path / "b.csv")
@@ -305,6 +316,22 @@ class TestExitCodes:
                            "--output", str(tmp_path / "o.pgm"), "--h", "10"])
         assert rc == 4
         assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB for an array\n"
+
+
+    def test_memory_budget_is_4(self, tmp_path, squares_pgm, monkeypatch, capsys):
+        import nfr.cli
+        import nfr.filter1d
+
+        # the 16^2 squares have Q = 4 levels: one 8 Q^2-byte Gaussian buffer
+        monkeypatch.setattr(nfr.filter1d, "_mem_available", lambda: 100)
+        out = tmp_path / "o.pgm"
+        rc = nfr.cli.main(["denoise", "--input", str(squares_pgm),
+                           "--output", str(out), "--h", "10"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: Q = 4 levels need 128 bytes (0.0 GiB) of Q x Q buffers; "
+            "100 bytes are available\n")
+        assert not out.exists()
 
 
 class TestReport:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import nfr.filter1d
+import nfr.kernels
 from conftest import random_quantized
 from nfr import (
     FilterConfig,
+    Kernel,
     NoiseSpec,
     Rearrangement,
     add_gaussian_noise,
@@ -154,6 +156,23 @@ class TestFunctionalJ:
         assert functional_j(r, k) == pytest.approx(full, rel=1e-12)
         assert sum(seen) <= q * (q - 1) // 2
 
+    @pytest.mark.parametrize("p, rule_share", [(2.0, 0), (4.0, 0), (3.0, 1)])
+    def test_power_j_rule_only_without_closed_form(self, p, rule_share, monkeypatch):
+        # p = 2 and 4 take the profile's closed form; p = 3 shows the
+        # counting wrapper does see the rule when it runs
+        rule = nfr.kernels._log_panel_primitive
+        seen = []
+
+        def counting(profile, h, s):
+            seen.append(np.size(s))
+            return rule(profile, h, s)
+
+        monkeypatch.setattr(nfr.kernels, "_log_panel_primitive", counting)
+        r = decreasing_rearrangement(random_quantized(11))[0]
+        q = r.values.size
+        assert functional_j(r, make_kernel("power", 25.0, p)) > 0.0
+        assert sum(seen) == rule_share * q * (q - 1) // 2
+
 
 class TestIterate:
     def test_constant_stops_immediately(self, gauss):
@@ -162,6 +181,18 @@ class TestIterate:
         assert trace.stop_reason == "tolerance"
         assert trace.iterations == 0
         assert len(trace.iterates) == 1
+
+    @pytest.mark.parametrize("max_iterations, reason",
+                             [(1, "max_iterations"), (2, "tolerance")])
+    def test_collapse_to_constant(self, gauss, max_iterations, reason):
+        # at h = 1e9 every weight rounds to 1, so the first step gives a
+        # constant iterate (J = 0); that stops with "tolerance" only when a
+        # step was left, as the relative rule is then 1
+        r = Rearrangement([2.0, 1.0], [1.0, 3.0])
+        trace = iterate(r, FilterConfig(gauss(1e9), max_iterations=max_iterations))
+        assert trace.iterations == 1
+        assert trace.j_values[-1] == 0.0
+        assert trace.stop_reason == reason
 
     def test_max_iterations_cap(self, gauss):
         r = decreasing_rearrangement(random_quantized(4))[0]
@@ -274,6 +305,78 @@ class TestGaussianPass:
                                          max_iterations=4))
         assert trace.iterations == 4
         assert k.evaluations == weight_sets * q * q
+
+
+class PlainGaussian:
+    """exp(-s^2) as a custom profile: not a GaussianProfile and without
+    `primitive`, so `iterate` runs the generic dense engine and J the rule."""
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        return np.exp(-(s * s))
+
+    def derivative(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        return -2.0 * s * np.exp(-(s * s))
+
+
+class TestEngines:
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("h", [5.0, 25.0, 80.0])
+    def test_dense_engine_matches_gaussian_engine(self, scheme, h):
+        v0 = decreasing_rearrangement(random_quantized(11))[0]
+        kg, kd = make_kernel("gaussian", h), Kernel(PlainGaussian(), h)
+        tg = iterate(v0, FilterConfig(kg, scheme=scheme, max_iterations=25))
+        td = iterate(v0, FilterConfig(kd, scheme=scheme, max_iterations=25))
+        assert td.iterations == tg.iterations
+        assert td.stop_reason == tg.stop_reason
+        assert kd.evaluations == kg.evaluations
+        scale = float(np.max(np.abs(v0.values)))
+        for got, want in zip(td.iterates, tg.iterates, strict=True):
+            np.testing.assert_allclose(got.values, want.values, rtol=0,
+                                       atol=1e-12 * scale)
+        np.testing.assert_allclose(td.j_values, tg.j_values, rtol=0,
+                                   atol=1e-12 * tg.j_values[0])
+
+
+class TestMemoryBudget:
+    Q = 64
+
+    def ramp(self):
+        return Rearrangement(np.linspace(255.0, 0.0, self.Q), np.ones(self.Q))
+
+    @pytest.mark.parametrize("name, scheme, words", [
+        ("gaussian", "varying", 1), ("gaussian", "fixed", 2),
+        ("power", "varying", 4), ("power", "fixed", 4)])
+    def test_refused_before_allocating(self, name, scheme, words, monkeypatch):
+        need = 8 * words * self.Q ** 2
+        cfg = FilterConfig(make_kernel(name, 1000.0), scheme=scheme, max_iterations=2)
+        monkeypatch.setattr(nfr.filter1d, "_mem_available", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=rf"^Q = 64 levels need {need} bytes "
+                               rf"\(0\.0 GiB\) of Q x Q buffers; {need - 1} bytes"):
+                iterate(self.ramp(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * self.Q ** 2
+        assert cfg.kernel.evaluations == 0
+        monkeypatch.setattr(nfr.filter1d, "_mem_available", lambda: need)
+        assert iterate(self.ramp(), cfg).iterations == 2
+
+    def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(nfr.filter1d, "_mem_available", lambda: None)
+        cfg = FilterConfig(make_kernel("gaussian", 25.0), max_iterations=1)
+        assert iterate(self.ramp(), cfg).iterations == 1
+
+    def test_reads_meminfo(self, tmp_path):
+        info = tmp_path / "meminfo"
+        info.write_text("MemTotal:       16384 kB\nMemAvailable:    8192 kB\n")
+        assert nfr.filter1d._mem_available(info) == 8192 * 1024
+        info.write_text("MemTotal:       16384 kB\nMemFree:    8192 kB\n")
+        assert nfr.filter1d._mem_available(info) is None
+        assert nfr.filter1d._mem_available(tmp_path / "missing") is None
 
 
 class TestPowerKernel:

@@ -13,6 +13,7 @@ from nfr import (
     g_primitive,
     make_kernel,
 )
+from nfr.kernels import _log_panel_primitive
 
 
 class IncreasingProfile:
@@ -99,11 +100,25 @@ class TestGPrimitive:
     @pytest.mark.parametrize("h", [0.05, 1.0, 25.0])
     @pytest.mark.parametrize("p, exact", [(2.0, np.log1p), (4.0, np.arctan)])
     def test_power_matches_closed_forms(self, p, exact, h):
-        # g(s) = h^2 log1p(s/h^2) at p = 2 and h^2 arctan(s/h^2) at p = 4
+        # the log-panel rule against g(s) = h^2 log1p(s/h^2) at p = 2 and
+        # h^2 arctan(s/h^2) at p = 4 (g_primitive returns those directly)
         u = np.geomspace(1e-12, 1e7, 200)
-        got = g_primitive(make_kernel("power", h, p=p), u * h * h)
+        got = _log_panel_primitive(PowerDecayProfile(p), h, u * h * h)
         want = h * h * exact(u)
         assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_rule_on_16bit_range(self):
+        # the rule over the squared range of a 16-bit image at p = 4, h = 2:
+        # non-decreasing, bounded by s * K(0), and on h^2 arctan(s/h^2)
+        h = 2.0
+        s = np.linspace(0.0, 65535.0 ** 2, 60)
+        g = _log_panel_primitive(PowerDecayProfile(4.0), h, s)
+        assert g[0] == 0.0
+        assert np.all(np.diff(g) >= 0)
+        assert np.all(g <= s)
+        np.testing.assert_allclose(g[1:], h * h * np.arctan(s[1:] / (h * h)),
+                                   rtol=1e-12, atol=0)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
