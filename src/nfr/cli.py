@@ -10,9 +10,11 @@
 Images travel as binary PGM (8/16-bit) or as lossless float CSV (a
 "# shape: ..." comment line followed by one %.17g value per line, row
 major); PGM output is a rounded, clamped presentation copy, the CSV path is
-the authoritative one for numeric comparisons.  `denoise` and `segment`
-write a one-line JSON report (sorted keys) through one writer,
-`_write_report`; only `segment` adds `region_count`.
+the authoritative one for numeric comparisons.  The CSV writer formats each
+level once: the nf filter's output has at most Q distinct values, written
+through the pixel-to-level index.  `denoise` and `segment` write a one-line
+JSON report (sorted keys) through one writer, `_write_report`; only
+`segment` adds `region_count`.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error, 4 numeric
 precondition violation or a computation too large for memory (the dense
@@ -42,15 +44,31 @@ class FormatError(Exception):
     """Unreadable or malformed input file (exit code 3)."""
 
 
+_CSV_BLOCK = 1 << 16  # lines per write of the float CSV body
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_float_csv(path, img: Image):
-    lines = [f"# shape: {' '.join(str(s) for s in img.shape)}\n"]
-    lines.extend(_fmt(v) + "\n" for v in img.data)
+def write_float_csv(path, img: Image, table=None, index=None):
+    """Write `img` as float CSV, formatting each entry of a value table once.
+
+    Line i of the body is the %.17g string of table[index[i]].  By default
+    the table is img.data itself with no index; the nf path passes its Q
+    level values and the pixel_level index (table[index] == img.data), so
+    only Q strings are formatted for N pixels.  The body goes out in joined
+    blocks, so no copy of the whole text is held next to the lines.
+    """
+    if table is None:
+        table = img.data
+    lines = [_fmt(v) + "\n" for v in table]
+    if index is not None:
+        lines = np.array(lines, dtype=object)[index]
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write(f"# shape: {' '.join(str(s) for s in img.shape)}\n")
+        for start in range(0, len(lines), _CSV_BLOCK):
+            fh.write("".join(lines[start:start + _CSV_BLOCK]))
 
 
 def read_float_csv(path) -> Image:
@@ -129,11 +147,12 @@ def cmd_denoise(args) -> int:
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
-    stop_reason = j_trace = None
+    stop_reason = j_trace = table = index = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
         trace = iterate(rearr, _filter_config(args, k))
-        out = reconstruct(levels, trace.iterates[-1].values)
+        table, index = trace.iterates[-1].values, levels.pixel_level
+        out = reconstruct(levels, table)
         iterations, stop_reason, j_trace = (trace.iterations, trace.stop_reason,
                                             trace.j_values)
     else:
@@ -151,7 +170,7 @@ def cmd_denoise(args) -> int:
     write_pgm(args.output, quantize(out.to_array(), maxval), maxval)
     outputs = [args.output]
     if args.csv:
-        write_float_csv(args.csv, out)
+        write_float_csv(args.csv, out, table, index)
         outputs.append(args.csv)
     ticks.append(time.perf_counter())
 

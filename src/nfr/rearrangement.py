@@ -10,6 +10,11 @@ functional summed over pixels equals its mass-weighted sum over levels).
 Filtering operates on the rearrangement; `reconstruct` maps new level values
 back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
+
+Grouping costs O(N + range) for integral images, whose levels are counted
+with one bincount over the offsets from the minimum (range < max(N, 65536)),
+and an O(N log N) sort for any other input.  `histogram` is the same level
+structure in ascending order.
 """
 
 from __future__ import annotations
@@ -147,20 +152,44 @@ def distribution_function(img: Image, q: float) -> int:
     return int(np.count_nonzero(img.data > q))
 
 
+def _integer_levels(x: np.ndarray):
+    """(values, masses, pixel_level) of x by counting, or None.
+
+    Applies when every value is the minimum lo plus an integer offset below
+    max(N, 65536), checked exactly over all N values: one bincount over the
+    offsets and a lookup table from offset to level index replace the sort.
+    Levels are lo + offset, so a level at zero gets the value +0.0.
+    """
+    lo = x.min()
+    if not x.max() < lo + max(x.size, 65536):  # no overflow at +-1e308
+        return None
+    ints = (x - lo).astype(np.intp)
+    if not np.array_equal(ints + lo, x):
+        return None
+    counts = np.bincount(ints)
+    present = np.flatnonzero(counts)[::-1]
+    lut = np.empty(counts.size, dtype=np.intp)
+    lut[present] = np.arange(present.size)
+    return present + lo, counts[present], lut[ints]
+
+
 def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]:
     """Group the image into descending distinct levels.
 
     Returns the rearrangement (values with real masses, ready for the 1-D
     filter) and the level structure (integer masses plus the per-pixel level
-    index needed to reconstruct images).
+    index needed to reconstruct images).  Integral images (every PGM) are
+    grouped by counting in O(N + range); any other input is sorted by
+    np.unique in O(N log N).
     """
-    vals_asc, inverse, counts = np.unique(
-        img.data, return_inverse=True, return_counts=True
-    )
-    q = vals_asc.size
-    values = vals_asc[::-1].copy()
-    masses = counts[::-1].copy()
-    pixel_level = (q - 1) - inverse.ravel()
+    found = _integer_levels(img.data)
+    if found is None:
+        vals_asc, inverse, counts = np.unique(
+            img.data, return_inverse=True, return_counts=True
+        )
+        found = (vals_asc[::-1].copy(), counts[::-1].copy(),
+                 (vals_asc.size - 1) - inverse.ravel())
+    values, masses, pixel_level = found
     rearr = Rearrangement(values, masses.astype(np.float64))
     levels = LevelStructure(values.copy(), masses, pixel_level, img.shape)
     return rearr, levels
@@ -183,5 +212,5 @@ def reconstruct(levels: LevelStructure, new_values) -> Image:
 
 def histogram(img: Image) -> list[tuple[float, int]]:
     """Distinct (value, mass) pairs in ascending value order."""
-    vals, counts = np.unique(img.data, return_counts=True)
-    return [(float(v), int(c)) for v, c in zip(vals, counts)]
+    _, levels = decreasing_rearrangement(img)
+    return list(zip(levels.values[::-1].tolist(), levels.masses[::-1].tolist()))

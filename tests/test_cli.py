@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nfr import read_pgm, write_pgm
+from nfr import Image, read_pgm, write_pgm
 from nfr import synthetic
 from nfr.cli import read_float_csv, write_float_csv
 
@@ -168,6 +168,35 @@ class TestNoise:
         r = run("noise", "--input", squares_pgm,
                 "--output", tmp_path / "n.tif", "--snr", "10", "--seed", "7")
         assert r.returncode == 2
+
+
+WRITER_CASES = {
+    # (level table, pixel index, shape)
+    "ties_and_extremes": ([1e300, 0.5, 0.5, -0.0, 5e-324, 1.0 / 3.0],
+                          [4, 3, 0, 1, 2, 1, 5, 5], (2, 4)),
+    "one_pixel": ([-2.5], [0], (1, 1)),
+}
+
+
+class TestFloatCsv:
+    @pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "plain"])
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_bytes_and_roundtrip(self, tmp_path, case, indexed):
+        table, index, shape = WRITER_CASES[case]
+        table, index = np.array(table), np.array(index, dtype=np.intp)
+        values = table[index]
+        img = Image(values, shape)
+        path = tmp_path / "x.csv"
+        if indexed:
+            write_float_csv(path, img, table, index)
+        else:
+            write_float_csv(path, img)
+        expected = (f"# shape: {' '.join(map(str, shape))}\n"
+                    + "".join(f"{v:.17g}\n" for v in values))
+        assert path.read_bytes() == expected.encode()
+        back = read_float_csv(path)
+        assert back.shape == shape
+        assert np.array_equal(back.data.view(np.int64), values.view(np.int64))
 
 
 class TestSegmentCommand:

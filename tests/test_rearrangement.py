@@ -90,6 +90,69 @@ class TestDecreasingRearrangement:
         assert np.array_equal(levels.values[levels.pixel_level], img.data)
 
 
+def unique_reference(x):
+    """Level structure of x from np.unique: the sorting path, spelled out."""
+    vals, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return vals[::-1], counts[::-1], (vals.size - 1) - inverse.ravel()
+
+
+def _sixteen_bit_sparse():
+    a = np.zeros((4, 4))
+    a[0, :2] = 65535.0
+    a[2, 1:] = 7.0
+    return a
+
+
+PARITY_CASES = {
+    "u8": lambda: random_quantized(21, size=32, levels=256, scale=1.0).to_array(),
+    "u16_sparse": _sixteen_bit_sparse,
+    "negative": lambda: np.random.Generator(np.random.PCG64(22)).integers(
+        -300, 301, (24, 24)).astype(np.float64),
+    "single_level": lambda: np.full((3, 5), 42.0),
+    "wider_than_bound": lambda: np.array([[0.0, 1e12], [1e12, 0.0]]),
+    "extreme_range": lambda: np.array([[-1e308, 1e308, 0.0]]),
+    "non_integral": lambda: random_quantized(23, levels=64, scale=1.0).to_array() + 0.5,
+    "signed_zero": lambda: np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -2.0]]),
+}
+
+
+class TestLevelParity:
+    """decreasing_rearrangement against a sort-based reference."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_matches_unique(self, case):
+        img = Image.from_array(PARITY_CASES[case]())
+        r, levels = decreasing_rearrangement(img)
+        got = (levels.values, levels.masses, levels.pixel_level)
+        expected = unique_reference(img.data)
+        for g, ref in zip(got, expected):
+            assert np.array_equal(g, ref)
+            assert g.dtype == ref.dtype
+        assert np.array_equal(r.values, levels.values)
+        assert np.array_equal(r.masses, levels.masses.astype(np.float64))
+        if case == "signed_zero":
+            # -0.0 == 0.0 above; the zero level itself is +0.0
+            assert not np.any(np.signbit(levels.values[levels.values == 0.0]))
+        else:
+            assert np.array_equal(np.signbit(levels.values),
+                                  np.signbit(expected[0]))
+
+    def test_integral_image_is_not_sorted(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        decreasing_rearrangement(random_quantized(24, size=64, levels=256, scale=1.0))
+        assert calls == []
+        decreasing_rearrangement(Image.from_array(
+            np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
+        assert calls == [64 * 64]
+
+
 class TestReconstruct:
     def test_identity_values(self):
         img = random_quantized(10)
@@ -143,6 +206,14 @@ class TestHistogram:
     def test_total_mass(self):
         img = random_quantized(13)
         assert sum(m for _, m in histogram(img)) == img.n
+
+    @pytest.mark.parametrize("case", ["u8", "non_integral", "wider_than_bound"])
+    def test_types_and_order(self, case):
+        img = Image.from_array(PARITY_CASES[case]())
+        vals, counts = np.unique(img.data, return_counts=True)
+        hist = histogram(img)
+        assert hist == list(zip(vals.tolist(), counts.tolist()))
+        assert all(type(v) is float and type(m) is int for v, m in hist)
 
 
 class TestEquiMeasurability:
