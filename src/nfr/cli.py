@@ -14,7 +14,9 @@ the authoritative one for numeric comparisons.  The CSV writer formats each
 level once: the nf filter's output has at most Q distinct values, written
 through the pixel-to-level index.  `denoise` and `segment` write a one-line
 JSON report (sorted keys) through one writer, `_write_report`; only
-`segment` adds `region_count`.
+`segment` adds `region_count`.  `--max-iter` is every filter's one step
+count (nf and `segment` may stop earlier on `--tol`); `denoise` resolves its
+per-filter default first, so the report's `params.max_iter` is the one used.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error, 4 numeric
 precondition violation or a computation too large for memory (the dense
@@ -72,19 +74,17 @@ def write_float_csv(path, img: Image, table=None, index=None):
 
 
 def read_float_csv(path) -> Image:
+    # a text file decodes whole chunks, so even readline can raise
+    # UnicodeDecodeError (a ValueError) for bad bytes further down
     with open(path) as fh:
-        head = fh.readline()
-        if not head.startswith("# shape:"):
-            raise FormatError(f"{path}: missing '# shape:' header line")
         try:
+            head = fh.readline()
+            if not head.startswith("# shape:"):
+                raise FormatError(f"{path}: missing '# shape:' header line")
             shape = tuple(int(t) for t in head.split(":", 1)[1].split())
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+            return Image(np.loadtxt(fh, dtype=np.float64, ndmin=1), shape)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    try:
-        return Image(data, shape)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_image(path) -> tuple[Image, int]:
@@ -147,6 +147,9 @@ def cmd_denoise(args) -> int:
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
+    if args.max_iter is None:  # resolved here so the report shows the count
+        args.max_iter = {"nf": 100, "nf-direct": 10}.get(args.filter, 1)
+    iterations = args.max_iter
     stop_reason = j_trace = table = index = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
@@ -155,16 +158,13 @@ def cmd_denoise(args) -> int:
         out = reconstruct(levels, table)
         iterations, stop_reason, j_trace = (trace.iterations, trace.stop_reason,
                                             trace.j_values)
+    elif args.filter == "nf-direct":
+        out = direct_nf(img, k, iterations, args.scheme)
     else:
-        default = 10 if args.filter == "nf-direct" else 1
-        iterations = default if args.iterations is None else args.iterations
-        if args.filter == "nf-direct":
-            out = direct_nf(img, k, iterations, args.scheme)
-        else:
-            windowed = bilateral if args.filter == "bilateral" else nlm
-            sp = SpatialConfig(rho=args.rho, patch_radius=args.patch,
-                               window_radius=args.window)
-            out = windowed(img, k, sp, iterations)
+        windowed = bilateral if args.filter == "bilateral" else nlm
+        sp = SpatialConfig(rho=args.rho, patch_radius=args.patch,
+                           window_radius=args.window)
+        out = windowed(img, k, sp, iterations)
     ticks.append(time.perf_counter())
 
     write_pgm(args.output, quantize(out.to_array(), maxval), maxval)
@@ -194,7 +194,7 @@ def cmd_segment(args) -> int:
     outputs = [labels_path]
     for i in range(seg.region_count):
         mask_path = f"{args.prefix}.region{i:03d}.pgm"
-        write_pgm(mask_path, seg.mask(i).astype(np.uint8) * 255, 255)
+        write_pgm(mask_path, seg.mask(i) * np.uint8(255), 255)
         outputs.append(mask_path)
     regions_path = f"{args.prefix}.regions.csv"
     with open(regions_path, "w") as fh:
@@ -306,7 +306,9 @@ def _add_kernel_flags(p, h_required=True):
 def _add_filter_flags(p):
     _add_kernel_flags(p)
     p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=100, dest="max_iter",
+                   help="iteration count; nf and segment stop earlier on --tol "
+                        "(denoise default: nf 100, nf-direct 10, bilateral/nlm 1)")
     p.add_argument("--tol", type=float, default=1e-5,
                    help="relative stopping tolerance on the J functional")
     p.add_argument("--report", default=None)
@@ -331,16 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=("nf", "nf-direct", "bilateral", "nlm"),
                    default="nf")
     _add_filter_flags(p)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="iteration count (nf-direct default 10, "
-                        "bilateral/nlm default 1)")
     p.add_argument("--rho", type=float, default=2.0,
                    help="spatial scale (bilateral) / patch std (nlm)")
     p.add_argument("--patch", type=int, default=1, help="nlm patch radius")
     p.add_argument("--window", type=int, default=None,
                    help="window radius (bilateral default ceil(3*rho), nlm 10)")
     p.add_argument("--csv", default=None, help="also dump lossless float CSV")
-    p.set_defaults(func=cmd_denoise)
+    p.set_defaults(func=cmd_denoise, max_iter=None)
 
     p = sub.add_parser("segment", help="filter to convergence, emit regions")
     p.add_argument("--input", required=True)

@@ -87,7 +87,7 @@ def write_pgm(path, array, maxval: int = 255):
     header = f"P5\n{w} {h}\n{int(maxval)}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(a.astype(dtype)).tobytes())
+        fh.write(np.ascontiguousarray(a, dtype=dtype))
 
 
 def quantize(data: np.ndarray, maxval: int = 255) -> np.ndarray:

@@ -70,7 +70,7 @@ def segment_with_trace(img: Image, cfg: FilterConfig, merge_tol: float = 1e-3
     rearr, levels = decreasing_rearrangement(img)
     trace = iterate(rearr, cfg)
     final = trace.iterates[-1]
-    dyn = float(img.data.max() - img.data.min())
+    dyn = float(rearr.values[0] - rearr.values[-1])  # input max - min
     region_of_level, region_values, region_masses = _group_levels(
         final.values, final.masses, merge_tol * dyn
     )

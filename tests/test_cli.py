@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from nfr import Image, read_pgm, write_pgm
+from nfr import (Image, SpatialConfig, bilateral, direct_nf, make_kernel, nlm,
+                 read_pgm, write_pgm)
 from nfr import synthetic
 from nfr.cli import read_float_csv, write_float_csv
 
@@ -103,7 +104,7 @@ class TestDenoise:
                  "--filter", "nf", "--h", "25", "--max-iter", "5",
                  "--tol", "1e-300", "--csv", a)
         r2 = run("denoise", "--input", noisy_csv, "--output", tmp_path / "b.pgm",
-                 "--filter", "nf-direct", "--h", "25", "--iterations", "5",
+                 "--filter", "nf-direct", "--h", "25", "--max-iter", "5",
                  "--csv", b)
         assert r1.returncode == 0 and r2.returncode == 0
         assert np.allclose(read_float_csv(a).data, read_float_csv(b).data,
@@ -121,6 +122,51 @@ class TestDenoise:
         assert report["stop_reason"] is None
         arr, _ = read_pgm(out)
         assert arr.shape == (16, 16)
+
+    @pytest.mark.parametrize("name, flags, steps", [
+        ("nf", ["--max-iter", "2", "--tol", "1e-300"], 2),
+        ("nf-direct", ["--max-iter", "2"], 2),
+        ("bilateral", ["--max-iter", "2"], 2),
+        ("nlm", ["--max-iter", "2"], 2),
+        ("nf-direct", [], 10),
+        ("bilateral", [], 1),
+        ("nlm", [], 1),
+    ], ids=["nf-2", "nf-direct-2", "bilateral-2", "nlm-2", "nf-direct-default",
+            "bilateral-default", "nlm-default"])
+    def test_max_iter_is_the_step_count(self, tmp_path, noisy_csv, monkeypatch,
+                                        name, flags, steps):
+        import nfr.cli
+
+        monkeypatch.delenv("NFR_THREADS", raising=False)
+        csv, rep = tmp_path / "out.csv", tmp_path / "out.json"
+        rc = nfr.cli.main(["denoise", "--input", str(noisy_csv),
+                           "--output", str(tmp_path / "out.pgm"), "--filter", name,
+                           "--h", "25", "--csv", str(csv), "--report", str(rep),
+                           *flags])
+        assert rc == 0
+        report = json.loads(rep.read_text())
+        assert report["iterations"] == steps
+        assert report["params"]["max_iter"] == steps
+        if name == "nf":
+            return  # the engine's trace counts the steps it took
+        img, k = read_float_csv(noisy_csv), make_kernel("gaussian", 25.0)
+        if name == "nf-direct":
+            expected = direct_nf(img, k, steps)
+        else:
+            windowed = bilateral if name == "bilateral" else nlm
+            sp = SpatialConfig(rho=2.0, patch_radius=1)  # the CLI defaults
+            expected = windowed(img, k, sp, steps)
+        assert np.array_equal(read_float_csv(csv).data, expected.data)
+
+    def test_iterations_flag_is_gone(self, tmp_path, noisy_csv):
+        import nfr.cli
+
+        with pytest.raises(SystemExit) as exc:
+            nfr.cli.main(["denoise", "--input", str(noisy_csv),
+                          "--output", str(tmp_path / "o.pgm"), "--h", "25",
+                          "--iterations", "3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.pgm").exists()
 
     def test_16bit_roundtrip(self, tmp_path):
         src = tmp_path / "deep.pgm"
@@ -291,6 +337,19 @@ class TestExitCodes:
                 "--h", "10")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("body", [b"# shape: \xff 1\n1.0\n",
+                                      b"# shape: 2 1\n1.0\n\xff\n"],
+                             ids=["header", "line2"])
+    def test_undecodable_csv_is_3(self, tmp_path, body, capsys):
+        import nfr.cli
+
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        rc = nfr.cli.main(["denoise", "--input", str(bad),
+                           "--output", str(tmp_path / "o.pgm"), "--h", "10"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_unknown_extension_is_3(self, tmp_path, squares_pgm):
         r = run("rearrange", "--input", squares_pgm.with_suffix(".bmp"),
                 "--prefix", tmp_path / "x")
@@ -320,7 +379,7 @@ class TestExitCodes:
     def test_thread_env_accepted(self, tmp_path, squares_pgm, noisy_csv):
         out = tmp_path / "o.pgm"
         r = run("denoise", "--input", noisy_csv, "--output", out,
-                "--filter", "nf-direct", "--iterations", "2", "--h", "25",
+                "--filter", "nf-direct", "--max-iter", "2", "--h", "25",
                 env={"NFR_THREADS": "2"})
         assert r.returncode == 0, r.stderr
 

@@ -37,6 +37,20 @@ class TestRoundtrip:
         write_pgm(p, np.array([[255, 170], [85, 0]]), 255)
         assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 170, 85, 0])
 
+    @pytest.mark.parametrize("rows, maxval", [([[0, 1, 2], [253, 254, 255]], 255),
+                                              ([[0, 1, 2], [256, 258, 65535]], 65535)])
+    def test_transposed_array_written_row_major(self, tmp_path, rows, maxval):
+        p = tmp_path / "t.pgm"
+        arr = np.array(rows, dtype=np.uint16 if maxval > 255 else np.uint8).T
+        assert not arr.flags.c_contiguous
+        write_pgm(p, arr, maxval)
+        samples = [v for row in arr.tolist() for v in row]
+        raster = (b"".join(v.to_bytes(2, "big") for v in samples)
+                  if maxval > 255 else bytes(samples))
+        assert p.read_bytes() == b"P5\n2 3\n%d\n" % maxval + raster
+        back, _ = read_pgm(p)
+        assert np.array_equal(back, arr)
+
     def test_integral_floats_accepted(self, tmp_path):
         p = tmp_path / "e.pgm"
         write_pgm(p, np.array([[1.0, 2.0]]), 255)
