@@ -15,13 +15,15 @@ level once: the nf filter's output has at most Q distinct values, written
 through the pixel-to-level index.  `denoise` and `segment` write a one-line
 JSON report (sorted keys) through one writer, `_write_report`; only
 `segment` adds `region_count`.  `--max-iter` is every filter's one step
-count (nf and `segment` may stop earlier on `--tol`); `denoise` resolves its
-per-filter default first, so the report's `params.max_iter` is the one used.
+count, at least 1 (nf and `segment` may stop earlier on `--tol`); `denoise`
+resolves its per-filter default first, so the report's `params.max_iter` is
+the one used.
 
-Exit codes: 0 success, 2 usage error, 3 I/O or file-format error, 4 numeric
-precondition violation or a computation too large for memory (the dense
-engine holds Q x Q float64 matrices for Q distinct levels).  NFR_THREADS
-caps worker threads for the pixel-domain filter.
+Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1 and
+a `denoise --output` that is not a .pgm path), 3 I/O or file-format error,
+4 numeric precondition violation or a computation too large for memory (the
+dense engine holds Q x Q float64 matrices for Q distinct levels).
+NFR_THREADS caps worker threads for the pixel-domain filter.
 """
 
 from __future__ import annotations
@@ -303,10 +305,27 @@ def _add_kernel_flags(p, h_required=True):
                    help="power-decay exponent (power kernel only)")
 
 
+def _step_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _pgm_path(text: str) -> str:
+    if not text.endswith(".pgm"):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a .pgm path; use --csv for lossless float output")
+    return text
+
+
 def _add_filter_flags(p):
     _add_kernel_flags(p)
     p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter",
+    p.add_argument("--max-iter", type=_step_count, default=100, dest="max_iter",
                    help="iteration count; nf and segment stop earlier on --tol "
                         "(denoise default: nf 100, nf-direct 10, bilateral/nlm 1)")
     p.add_argument("--tol", type=float, default=1e-5,
@@ -329,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="run a filter over an image")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, help="output PGM path")
+    p.add_argument("--output", required=True, type=_pgm_path,
+                   help="output PGM path")
     p.add_argument("--filter", choices=("nf", "nf-direct", "bilateral", "nlm"),
                    default="nf")
     _add_filter_flags(p)

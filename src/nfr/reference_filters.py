@@ -3,11 +3,14 @@
 `direct_nf` is the correctness oracle for the 1-D engine: it averages over
 ALL pixels (fully nonlocal, no spatial window), evaluating the kernel once
 per (pixel, distinct level) pair — N*Q evaluations per iteration, against
-the engine's Q^2.  Bilateral and NLM are the spatially-windowed comparison
-baselines, each applied once by default.
+the engine's Q^2.  Bilateral (Tomasi & Manduchi 1998) and NLM (Buades,
+Coll & Morel 2005) are the spatially-windowed comparison baselines, each
+applied once by default.  They share one offset loop, `_windowed`, and
+differ only in the weight they give an offset box against its centre box.
 
-All three clamp outputs to the input range (convex combinations can
-overshoot by ulps) and so map constant images to themselves exactly.
+All three take a step count >= 0 (0 returns the input), clamp outputs to
+the input range (convex combinations can overshoot by ulps) and so map
+constant images to themselves exactly.
 """
 
 from __future__ import annotations
@@ -125,19 +128,24 @@ def direct_nf(img: Image, k: Kernel, iterations: int, scheme: str = "varying",
     return Image(un, img.shape)
 
 
-def bilateral(img: Image, k: Kernel, sp: SpatialConfig, iterations: int = 1) -> Image:
-    """Bilateral filter: intensity kernel times spatial Gaussian exp(-d^2/rho^2).
+def _windowed(img: Image, wr: int, pr: int, iterations: int, weight,
+              name: str) -> Image:
+    """One windowed weighted average per step, for bilateral and NLM.
 
-    The spatial term is truncated at window_radius (default ceil(3*rho));
-    normalization runs over the in-bounds truncated window.
+    Each step mirror-pads u by pr and, over the in-bounds offsets d of the
+    (2*wr+1)^2 window, sums weight(c, s, dy, dx) * u(x + d), with c and s the
+    centre and offset boxes of the padded image; normalization runs over the
+    in-bounds window and the output is clipped to the input range.
     """
     if len(img.shape) != 2:
-        raise ValueError("bilateral filter requires a 2-D image")
-    wr = sp.window_radius if sp.window_radius is not None else math.ceil(3.0 * sp.rho)
+        raise ValueError(f"{name} requires a 2-D image")
+    if int(iterations) < 0:
+        raise ValueError("iterations must be >= 0")
     u = img.to_array()
     h_, w_ = u.shape
     lo, hi = float(u.min()), float(u.max())
     for _ in range(int(iterations)):
+        pad = np.pad(u, pr, mode="symmetric")
         num = np.zeros_like(u)
         den = np.zeros_like(u)
         for dy in range(-wr, wr + 1):
@@ -146,14 +154,26 @@ def bilateral(img: Image, k: Kernel, sp: SpatialConfig, iterations: int = 1) -> 
                 xs0, xs1 = max(0, -dx), min(w_, w_ - dx)
                 if ys0 >= ys1 or xs0 >= xs1:
                     continue
-                c = u[ys0:ys1, xs0:xs1]
-                s = u[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-                wgt = math.exp(-(dy * dy + dx * dx) / (sp.rho * sp.rho)) \
-                    * eval_scaled(k, c - s)
-                num[ys0:ys1, xs0:xs1] += wgt * s
+                c = pad[ys0:ys1 + 2 * pr, xs0:xs1 + 2 * pr]
+                s = pad[ys0 + dy:ys1 + dy + 2 * pr, xs0 + dx:xs1 + dx + 2 * pr]
+                wgt = weight(c, s, dy, dx)
+                num[ys0:ys1, xs0:xs1] += wgt * u[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
                 den[ys0:ys1, xs0:xs1] += wgt
         u = np.clip(num / den, lo, hi)
     return Image(u.ravel(), img.shape)
+
+
+def bilateral(img: Image, k: Kernel, sp: SpatialConfig, iterations: int = 1) -> Image:
+    """Bilateral filter: intensity kernel times spatial Gaussian exp(-d^2/rho^2).
+
+    The spatial term is truncated at window_radius (default ceil(3*rho)).
+    """
+    def weight(c, s, dy, dx):
+        return math.exp(-(dy * dy + dx * dx) / (sp.rho * sp.rho)) \
+            * eval_scaled(k, c - s)
+
+    wr = sp.window_radius if sp.window_radius is not None else math.ceil(3.0 * sp.rho)
+    return _windowed(img, wr, 0, iterations, weight, "bilateral filter")
 
 
 def nlm(img: Image, k: Kernel, sp: SpatialConfig, iterations: int = 1) -> Image:
@@ -167,42 +187,19 @@ def nlm(img: Image, k: Kernel, sp: SpatialConfig, iterations: int = 1) -> Image:
     in-bounds pixels, window_radius default 10.  Weight = K_h(sqrt(distance)),
     i.e. exp(-d^2/h^2) for the Gaussian kernel.
     """
-    if len(img.shape) != 2:
-        raise ValueError("nonlocal means requires a 2-D image")
     pr = sp.patch_radius
-    wr = sp.window_radius if sp.window_radius is not None else 10
-    u = img.to_array()
-    h_, w_ = u.shape
-    lo, hi = float(u.min()), float(u.max())
-
     ax = np.arange(-pr, pr + 1, dtype=np.float64)
     gk = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sp.rho * sp.rho))
     gk /= gk.sum()
 
-    for _ in range(int(iterations)):
-        pad = np.pad(u, pr, mode="symmetric")
-        num = np.zeros_like(u)
-        den = np.zeros_like(u)
-        for dy in range(-wr, wr + 1):
-            ys0, ys1 = max(0, -dy), min(h_, h_ - dy)
-            if ys0 >= ys1:
-                continue
-            for dx in range(-wr, wr + 1):
-                xs0, xs1 = max(0, -dx), min(w_, w_ - dx)
-                if xs0 >= xs1:
-                    continue
-                ny, nx = ys1 - ys0, xs1 - xs0
-                # squared differences on the patch-extended overlap box
-                c = pad[ys0:ys1 + 2 * pr, xs0:xs1 + 2 * pr]
-                s = pad[ys0 + dy:ys1 + dy + 2 * pr, xs0 + dx:xs1 + dx + 2 * pr]
-                d2 = (c - s) ** 2
-                dist = np.zeros((ny, nx))
-                for a in range(2 * pr + 1):
-                    for b in range(2 * pr + 1):
-                        dist += gk[a, b] * d2[a:a + ny, b:b + nx]
-                wgt = eval_scaled(k, np.sqrt(dist))
-                sval = u[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-                num[ys0:ys1, xs0:xs1] += wgt * sval
-                den[ys0:ys1, xs0:xs1] += wgt
-        u = np.clip(num / den, lo, hi)
-    return Image(u.ravel(), img.shape)
+    def weight(c, s, dy, dx):
+        ny, nx = c.shape[0] - 2 * pr, c.shape[1] - 2 * pr
+        d2 = (c - s) ** 2
+        dist = np.zeros((ny, nx))
+        for a in range(2 * pr + 1):
+            for b in range(2 * pr + 1):
+                dist += gk[a, b] * d2[a:a + ny, b:b + nx]
+        return eval_scaled(k, np.sqrt(dist))
+
+    wr = sp.window_radius if sp.window_radius is not None else 10
+    return _windowed(img, wr, pr, iterations, weight, "nonlocal means")

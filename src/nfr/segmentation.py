@@ -119,8 +119,4 @@ def inflexion_points(v: Rearrangement) -> list[float]:
     half_span = (mid[2:] - mid[:-2]) / 2.0
     d2 = np.diff(slopes) / half_span  # curvature at interior nodes 1..q-2
     sign = np.sign(d2)
-    out = []
-    for i in range(d2.size - 1):
-        if sign[i] * sign[i + 1] < 0:
-            out.append(float(cum[i + 1]))
-    return out
+    return cum[np.flatnonzero(sign[:-1] * sign[1:] < 0) + 1].tolist()

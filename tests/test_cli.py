@@ -355,6 +355,33 @@ class TestExitCodes:
                 "--prefix", tmp_path / "x")
         assert r.returncode == 3
 
+    def test_step_count_below_one_is_2(self, tmp_path, noisy_csv, capsys):
+        import nfr.cli
+
+        runs = [["denoise", "--output", str(tmp_path / "o.pgm"), "--filter", f]
+                for f in ("nf", "nf-direct", "bilateral", "nlm")]
+        runs.append(["segment", "--prefix", str(tmp_path / "seg")])
+        for argv in runs:
+            for steps in ("0", "-1"):
+                with pytest.raises(SystemExit) as exc:
+                    nfr.cli.main([*argv, "--input", str(noisy_csv), "--h", "25",
+                                  "--max-iter", steps])
+                assert exc.value.code == 2
+                assert "argument --max-iter: must be >= 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.csv",
+                                                              "squares.pgm"]
+
+    @pytest.mark.parametrize("name", ["den.csv", "den.png"])
+    def test_denoise_output_must_be_pgm(self, tmp_path, squares_pgm, name, capsys):
+        import nfr.cli
+
+        with pytest.raises(SystemExit) as exc:
+            nfr.cli.main(["denoise", "--input", str(squares_pgm),
+                          "--output", str(tmp_path / name), "--h", "25"])
+        assert exc.value.code == 2
+        assert "is not a .pgm path; use --csv" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
+
     def test_bad_kernel_scale_is_4(self, tmp_path, squares_pgm):
         r = run("denoise", "--input", squares_pgm,
                 "--output", tmp_path / "o.pgm", "--h", "-5")

@@ -151,6 +151,11 @@ class TestBilateral:
         with pytest.raises(ValueError):
             bilateral(img, gauss(1.0), SpatialConfig(rho=1.0))
 
+    def test_rejects_negative_iterations(self, gauss):
+        img = Image.from_array(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            bilateral(img, gauss(5.0), SpatialConfig(rho=1.0), -1)
+
     def test_denoises(self, gauss, squares_clean, noisy_squares):
         out = bilateral(noisy_squares, gauss(60.0), SpatialConfig(rho=2.0))
         assert rmse(squares_clean, out) < 0.5 * rmse(squares_clean, noisy_squares)
@@ -190,6 +195,11 @@ class TestNlm:
         img = Image(np.array([3.0, 1.0]), (2,))
         with pytest.raises(ValueError):
             nlm(img, gauss(1.0), SpatialConfig(rho=1.0))
+
+    def test_rejects_negative_iterations(self, gauss):
+        img = Image.from_array(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            nlm(img, gauss(5.0), SpatialConfig(rho=1.0, patch_radius=1), -1)
 
     def test_denoises(self, gauss, squares_clean, noisy_squares):
         out = nlm(noisy_squares, gauss(45.0),
