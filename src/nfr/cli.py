@@ -19,10 +19,12 @@ count, at least 1 (nf and `segment` may stop earlier on `--tol`); `denoise`
 resolves its per-filter default first, so the report's `params.max_iter` is
 the one used.
 
-Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1 and
-a `denoise --output` that is not a .pgm path), 3 I/O or file-format error,
-4 numeric precondition violation or a computation too large for memory (the
-dense engine holds Q x Q float64 matrices for Q distinct levels).
+Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1, a
+`--patch` below 0, a `--window` below 1, a `denoise --output` that is not a
+.pgm path, and a `noise --output` that is not .pgm with `--clamp` or .csv
+without it, all checked before the input is read), 3 I/O or file-format
+error, 4 numeric precondition violation or a computation too large for
+memory (`MemoryError`).
 NFR_THREADS caps worker threads for the pixel-domain filter.
 """
 
@@ -214,24 +216,21 @@ def cmd_segment(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    pgm = args.output.endswith(".pgm")  # else .csv: the --output type checks
+    if pgm and not args.clamp:
+        print("error: PGM output requires --clamp (noise leaves the "
+              "integer range); use a .csv output for lossless values",
+              file=sys.stderr)
+        return 2
+    if args.clamp and not pgm:
+        print("error: --clamp only applies to .pgm outputs", file=sys.stderr)
+        return 2
     img, maxval = load_image(args.input)
     noisy = add_gaussian_noise(img, NoiseSpec(snr=args.snr, seed=args.seed))
-    out = str(args.output)
-    if out.endswith(".pgm"):
-        if not args.clamp:
-            print("error: PGM output requires --clamp (noise leaves the "
-                  "integer range); use a .csv output for lossless values",
-                  file=sys.stderr)
-            return 2
-        write_pgm(out, quantize(noisy.to_array(), maxval), maxval)
-    elif out.endswith(".csv"):
-        if args.clamp:
-            print("error: --clamp only applies to .pgm outputs", file=sys.stderr)
-            return 2
-        write_float_csv(out, noisy)
+    if pgm:
+        write_pgm(args.output, quantize(noisy.to_array(), maxval), maxval)
     else:
-        print(f"error: unknown output extension for {out}", file=sys.stderr)
-        return 2
+        write_float_csv(args.output, noisy)
     return 0
 
 
@@ -305,27 +304,33 @@ def _add_kernel_flags(p, h_required=True):
                    help="power-decay exponent (power kernel only)")
 
 
-def _step_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:  # argparse would name this function in its message
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An argparse type: an int >= lo, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:  # argparse would name this function in its message
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return parse
 
 
-def _pgm_path(text: str) -> str:
-    if not text.endswith(".pgm"):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a .pgm path; use --csv for lossless float output")
-    return text
+def _path_with_suffix(*suffixes: str, hint: str):
+    """An argparse type: a path ending in one of `suffixes`."""
+    def parse(text: str) -> str:
+        if not text.endswith(suffixes):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {'/'.join(suffixes)} "
+                                             f"path; {hint}")
+        return text
+    return parse
 
 
 def _add_filter_flags(p):
     _add_kernel_flags(p)
     p.add_argument("--scheme", choices=("varying", "fixed"), default="varying")
-    p.add_argument("--max-iter", type=_step_count, default=100, dest="max_iter",
+    p.add_argument("--max-iter", type=_int_at_least(1), default=100, dest="max_iter",
                    help="iteration count; nf and segment stop earlier on --tol "
                         "(denoise default: nf 100, nf-direct 10, bilateral/nlm 1)")
     p.add_argument("--tol", type=float, default=1e-5,
@@ -348,15 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="run a filter over an image")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, type=_pgm_path,
+    p.add_argument("--output", required=True,
+                   type=_path_with_suffix(".pgm", hint="use --csv for lossless float output"),
                    help="output PGM path")
     p.add_argument("--filter", choices=("nf", "nf-direct", "bilateral", "nlm"),
                    default="nf")
     _add_filter_flags(p)
     p.add_argument("--rho", type=float, default=2.0,
                    help="spatial scale (bilateral) / patch std (nlm)")
-    p.add_argument("--patch", type=int, default=1, help="nlm patch radius")
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--patch", type=_int_at_least(0), default=1,
+                   help="nlm patch radius")
+    p.add_argument("--window", type=_int_at_least(1), default=None,
                    help="window radius (bilateral default ceil(3*rho), nlm 10)")
     p.add_argument("--csv", default=None, help="also dump lossless float CSV")
     p.set_defaults(func=cmd_denoise, max_iter=None)
@@ -372,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="add seeded Gaussian noise at a given SNR")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True,
+                   type=_path_with_suffix(".pgm", ".csv", hint="want .csv, or .pgm with --clamp"),
                    help=".csv for lossless floats, .pgm with --clamp")
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -12,10 +12,15 @@ count.  Two weighting schemes exist: "varying" re-reads the weights from the
 current iterate (m = n), "fixed" keeps the weights of the initial one
 (m = 0).
 
-`iterate` runs one loop over a dense engine (J of an iterate, one averaging
-step).  The Gaussian engine makes one pass per iteration over one Q x Q
-float64 buffer for J(v_n) and the next weights, and the fixed scheme keeps
-K(v_0) beside it.  Engines check their buffers against available memory.
+`iterate` makes one pass per iteration over row blocks [a, b) of the Q x Q
+pair matrix, and each block gives its share of J(v_n) and its rows of the
+next step.  A block holds at most _BLOCK_BYTES of float64 pair values, so
+memory is a few blocks plus O(Q) vectors, never Q x Q.  A profile with a
+`minus_one` hook (the Gaussian) gives J and the weights from one expm1
+block; any other gives J from its primitive over the block's i < j pairs
+and the weights from the profile on the same differences.  The fixed scheme
+recomputes the K(v_0) blocks each step, so both schemes form Q^2 weights
+per step applied.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -39,6 +44,7 @@ from .kernels import GaussianProfile, Kernel, eval_scaled, g_primitive
 from .rearrangement import Rearrangement
 
 _EPS = float(np.finfo(np.float64).eps)
+_BLOCK_BYTES = 1 << 20  # bytes of float64 pair values per row block (rows * Q * 8)
 
 
 @dataclass
@@ -86,37 +92,37 @@ def _guard_step_values(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     forward error is bounded by ~Q*eps*scale, so the snap threshold is
     4*Q*eps*scale.  Genuine order violations (non-decaying kernels) sit many
     orders of magnitude above that and pass through untouched.
+
+    Read left to right: a snapped entry takes its left neighbour's value s,
+    and the entries after it snap to s for as long as they exceed s by at
+    most the threshold.  Only the upward jumps of the clamped values and the
+    snap chains they start are visited.
     """
     lo = float(x.min())
     hi = float(x.max())
     out = np.clip(out, lo, hi)
-    d = np.diff(out)
-    if not np.any(d > 0.0):
-        return out
     tol = 4.0 * out.size * _EPS * max(abs(lo), abs(hi))
-    for i in range(1, out.size):
-        gap = out[i] - out[i - 1]
-        if 0.0 < gap <= tol:
-            out[i] = out[i - 1]
+    for i in (np.flatnonzero(np.diff(out) > 0.0) + 1).tolist():
+        s = out[i - 1]  # a jump inside an earlier chain meets out[i] == s
+        while i < out.size and 0.0 < out[i] - s <= tol:
+            out[i] = s
+            i += 1
     return out
 
 
-def _weighted_average(kmat: np.ndarray, v: Rearrangement, k: Kernel) -> Rearrangement:
-    """Row i of kmat averages v with weights kmat_ij m_j, then the guard.
+def _checked_step(nd: np.ndarray, v: Rearrangement, k: Kernel) -> Rearrangement:
+    """The step num/den of v from the columns of nd, through the guard.
 
-    One product K @ [m*x, m] gives the numerators and the row sums together.
     An upward jump the guard leaves is a genuine order violation: the kernel
     k does not preserve the level order, so the result is no rearrangement.
     """
-    x, m = v.values, v.masses
-    num, den = (kmat @ np.stack((m * x, m), axis=1)).T
-    out = _guard_step_values(num / den, x)
+    out = _guard_step_values(nd[:, 0] / nd[:, 1], v.values)
     if np.any(np.diff(out) > 0.0):
         raise ValueError(
             f"{k!r} breaks the level order: the 1-D engine needs an "
             "order-preserving (log-concave) kernel; use direct_nf "
             "(--filter nf-direct) for this kernel")
-    return Rearrangement(out, m.copy())
+    return Rearrangement(out, v.masses.copy())
 
 
 def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rearrangement:
@@ -125,12 +131,54 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
     Weights are read from v_weights (pass the same object for the varying
     scheme, the initial rearrangement for the fixed one); both arguments must
     live on the same mass partition.  Performs exactly Q^2 kernel
-    evaluations, all through `eval_scaled`.
+    evaluations, all through `eval_scaled`, on one dense Q x Q matrix: the
+    one-step reference for `iterate`'s blocked passes.  One product with
+    [m*x, m] gives the numerators and the row sums together.
     """
     if not np.array_equal(v_weights.masses, v_values.masses):
         raise ValueError("mass partitions of weights and values differ")
-    w = v_weights.values
-    return _weighted_average(eval_scaled(k, w[:, None] - w[None, :]), v_values, k)
+    w, x, m = v_weights.values, v_values.values, v_values.masses
+    kmat = eval_scaled(k, w[:, None] - w[None, :])
+    return _checked_step(kmat @ np.stack((m * x, m), axis=1), v_values, k)
+
+
+def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
+    """One pass over the row blocks of v: J(v), and unless w is None the
+    [numerator, row sum] of every row of v's next step under the weights
+    K_h(w_i - w_j) (else None).  With the profile's `minus_one` hook, the
+    block E = K - 1 of v gives J = -h^2 m^T E m and, plus one in place, the
+    weights; without it, J sums m_i m_j g((v_i - v_j)^2) over the block's
+    i < j pairs, and the weights are the profile on the same differences.
+    Counts no evaluations: `iterate` counts the steps it applies.
+    """
+    x, m, h = v.values, v.masses, k.h
+    minus_one = getattr(k.profile, "minus_one", None)
+    rows = max(1, _BLOCK_BYTES // (8 * x.size))
+    nd = None if w is None else np.empty((x.size, 2))
+    rhs = None if w is None else np.stack((m * x, m), axis=1)
+    total = 0.0
+    for a in range(0, x.size, rows):
+        b = min(a + rows, x.size)
+        d = np.subtract.outer(x[a:b], x)
+        if minus_one is None:
+            upper = np.arange(x.size) > np.arange(a, b)[:, None]
+            g = g_primitive(k, np.square(d[upper]))
+            total += float(np.outer(m[a:b], m)[upper] @ g)
+            if w is not None:
+                d = d if w is x else np.subtract.outer(w[a:b], w)
+                nd[a:b] = k.profile(d / h) @ rhs
+            continue
+        d /= h
+        e = minus_one(d)
+        total += float(m[a:b] @ (e @ m))
+        if w is not None:
+            if w is not x:
+                e = np.subtract.outer(w[a:b], w)
+                e /= h
+                e = minus_one(e)
+            e += 1.0  # E -> K in place
+            nd[a:b] = e @ rhs
+    return (2.0 * total if minus_one is None else -(h * h) * total), nd
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -138,75 +186,12 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
 
     g is the kernel primitive (`g_primitive`), so dJ/dv_i recovers the
     filter's own weights K_h(v_i - v_j) — the varying-scheme iteration
-    descends this functional.  Zero exactly when v is constant.  The sum is
-    symmetric and g(0) = 0, so it is taken as twice the sum over i < j:
-    g_primitive sees Q(Q-1)/2 squared differences, not Q^2.
+    descends this functional.  Zero exactly when v is constant.  Taken one
+    row block at a time (see `_pass`): for a profile without the `minus_one`
+    hook, as twice the sum over i < j, so g_primitive sees Q(Q-1)/2 squared
+    differences, not Q^2.
     """
-    x = v.values
-    m = v.masses
-    i, j = np.triu_indices(x.size, 1)
-    g = g_primitive(k, (x[i] - x[j]) ** 2)
-    return 2.0 * float((m[i] * m[j]) @ g)
-
-
-def _mem_available(path="/proc/meminfo"):
-    """MemAvailable of /proc/meminfo in bytes; None where unreadable."""
-    try:
-        with open(path) as fh:
-            fields = dict(line.split(":", 1) for line in fh)
-        return 1024 * int(fields["MemAvailable"].split()[0])
-    except (OSError, KeyError, ValueError):
-        return None
-
-
-class _DenseEngine:
-    """J through `functional_j`, weights through `eval_scaled`.  words[fixed]:
-    the peak in Q x Q float64 arrays (tracemalloc, power kernel p = 2, 4)."""
-
-    words = (4, 4)
-    kmat = None  # the weights of v0, kept by the fixed scheme
-
-    def __init__(self, k: Kernel, m: np.ndarray, fixed: bool):
-        self.k, self.m, self.fixed = k, m, fixed
-        need, avail = 8 * self.words[fixed] * m.size ** 2, _mem_available()
-        if avail is not None and need > avail:
-            raise MemoryError(f"Q = {m.size} levels need {need} bytes ({need / 2**30:.1f} "
-                              f"GiB) of Q x Q buffers; {avail} bytes are available")
-
-    def j(self, v: Rearrangement) -> float:
-        return functional_j(v, self.k)
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        return eval_scaled(self.k, np.subtract.outer(x, x))
-
-    def step(self, v: Rearrangement) -> Rearrangement:
-        kmat = self.kmat if self.kmat is not None else self.weights(v.values)
-        self.kmat = kmat if self.fixed else None
-        return _weighted_average(kmat, v, self.k)
-
-
-class _GaussianEngine(_DenseEngine):
-    """j(v) fills E = expm1(-((v_i - v_j)/h)^2) in (-1, 0]: J = -h^2 m^T E m
-    without cancellation.  weights(v), which must follow j(v), makes E the
-    weights E + 1 in place; later J's of the fixed scheme get a new buffer."""
-
-    words = (1, 2)
-    e = None
-
-    def j(self, v: Rearrangement) -> float:
-        h = self.k.h
-        e = np.subtract.outer(v.values, v.values, out=self.e)
-        e /= h
-        np.square(e, out=e)
-        np.negative(e, out=e)
-        self.e = np.expm1(e, out=e)
-        return -(h * h) * float(self.m @ (e @ self.m))
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        kmat, self.e = self.e, None if self.fixed else self.e
-        kmat += 1.0  # E -> K in place
-        self.k.add_evaluations(kmat.size)
-        return kmat
+    return _pass(k, v, None)[0]
 
 
 def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
@@ -214,26 +199,28 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
 
     Stops once |J(v_{n+1}) - J(v_n)| / |J(v_n)| < stop_tolerance, or at a
     constant iterate (J = 0, a fixed point), with reason "tolerance"; else
-    after max_iterations steps.  `k.evaluations` grows by Q^2 per set of
-    weights formed: iterations * Q^2 (varying scheme) or Q^2 once (fixed).
-    Raises MemoryError, before allocating, for Q x Q buffers beyond the
-    available memory, and ValueError for a kernel that breaks the level order.
+    after max_iterations steps.  Pass n gives J(v_n) and the step to v_{n+1};
+    the step is applied, and its Q^2 weights added to `k.evaluations`, only
+    if the run goes on, so the count is iterations * Q^2 in both schemes.
+    Raises ValueError for a kernel that breaks the level order.
     """
     k = cfg.kernel
-    engine = (_GaussianEngine if isinstance(k.profile, GaussianProfile)
-              else _DenseEngine)(k, v0.masses, cfg.scheme == "fixed")
     trace, v = FilterTrace(), v0
     for n in range(cfg.max_iterations + 1):
-        if n:
-            v = engine.step(v)
+        more = n < cfg.max_iterations
+        w = (v0 if cfg.scheme == "fixed" else v).values if more else None
+        j, nd = _pass(k, v, w)
         trace.iterates.append(v)
-        trace.j_values.append(engine.j(v))
+        trace.j_values.append(j)
         trace.sup_norms.append(float(np.max(np.abs(v.values))))
-        j = trace.j_values
-        if ((n and abs(j[-1] - j[-2]) / abs(j[-2]) < cfg.stop_tolerance)
-                or (j[-1] == 0.0 and n < cfg.max_iterations)):
+        js = trace.j_values
+        if ((n and abs(js[-1] - js[-2]) / abs(js[-2]) < cfg.stop_tolerance)
+                or (j == 0.0 and more)):
             trace.stop_reason = "tolerance"
             break
+        if more:
+            k.add_evaluations(v.values.size ** 2)
+            v = _checked_step(nd, v, k)
     return trace
 
 

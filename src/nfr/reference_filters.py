@@ -26,7 +26,7 @@ from .filter1d import _guard_step_values
 from .kernels import Kernel, eval_scaled
 from .rearrangement import Image
 
-_CHUNK = 8192  # pixel rows per kernel-matrix block, keeps memory bounded
+_CHUNK = 1 << 20  # kernel-matrix entries per block: 8 MiB per float64 temporary
 
 
 @dataclass
@@ -77,12 +77,13 @@ def _nf_pixel_pass(um, vals, level_sums, level_counts, k, workers):
     """
     n = um.size
     out = np.empty(n)
+    rows = max(1, _CHUNK // vals.size)
 
     def run(lo, hi):
         kblk = eval_scaled(k, um[lo:hi, None] - vals[None, :])
         out[lo:hi] = (kblk @ level_sums) / (kblk @ level_counts)
 
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda s: run(*s), spans))

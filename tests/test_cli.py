@@ -382,6 +382,31 @@ class TestExitCodes:
         assert "is not a .pgm path; use --csv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--patch", "-1", "argument --patch: must be >= 0, got -1"),
+        ("--window", "0", "argument --window: must be >= 1, got 0")],
+        ids=["patch", "window"])
+    def test_spatial_flags_are_checked_at_parse_time(self, tmp_path, squares_pgm,
+                                                     flag, value, message, capsys):
+        import nfr.cli
+
+        with pytest.raises(SystemExit) as exc:
+            nfr.cli.main(["denoise", "--input", str(squares_pgm), "--output",
+                          str(tmp_path / "o.pgm"), "--filter", "nlm", "--h", "25",
+                          flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
+
+    @pytest.mark.parametrize("output, extra", [("x.png", ()), ("x.pgm", ()),
+                                               ("x.csv", ("--clamp",))],
+                             ids=["suffix", "pgm-without-clamp", "csv-with-clamp"])
+    def test_noise_arguments_checked_before_read(self, tmp_path, output, extra):
+        r = run("noise", "--input", tmp_path / "missing.pgm", "--output",
+                tmp_path / output, "--snr", "10", "--seed", "7", *extra)
+        assert r.returncode == 2, r.stderr
+        assert not (tmp_path / output).exists()
+
     def test_bad_kernel_scale_is_4(self, tmp_path, squares_pgm):
         r = run("denoise", "--input", squares_pgm,
                 "--output", tmp_path / "o.pgm", "--h", "-5")
@@ -431,22 +456,6 @@ class TestExitCodes:
                            "--output", str(tmp_path / "o.pgm"), "--h", "10"])
         assert rc == 4
         assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB for an array\n"
-
-
-    def test_memory_budget_is_4(self, tmp_path, squares_pgm, monkeypatch, capsys):
-        import nfr.cli
-        import nfr.filter1d
-
-        # the 16^2 squares have Q = 4 levels: one 8 Q^2-byte Gaussian buffer
-        monkeypatch.setattr(nfr.filter1d, "_mem_available", lambda: 100)
-        out = tmp_path / "o.pgm"
-        rc = nfr.cli.main(["denoise", "--input", str(squares_pgm),
-                           "--output", str(out), "--h", "10"])
-        assert rc == 4
-        assert capsys.readouterr().err == (
-            "error: Q = 4 levels need 128 bytes (0.0 GiB) of Q x Q buffers; "
-            "100 bytes are available\n")
-        assert not out.exists()
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 """Pixel-domain filters against the 1-D engine and naive reimplementations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestDirectNf:
         a = direct_nf(img, gauss(18.0), 3, workers=1)
         b = direct_nf(img, gauss(18.0), 3, workers=3)
         assert np.array_equal(a.data, b.data)
+
+    def test_peak_memory_is_blocked(self, gauss):
+        # N = Q = 4096: one 4096-row block would hold 128 MiB per temporary
+        rng = np.random.default_rng(2)
+        img = Image.from_array(rng.permutation(4096).reshape(64, 64) * 0.0625)
+        tracemalloc.start()
+        try:
+            direct_nf(img, gauss(25.0), 1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_schemes_diverge_after_two_steps(self, gauss):
         img = random_quantized(4)
