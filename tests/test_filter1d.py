@@ -330,6 +330,24 @@ class TestGaussianPass:
         for got, want in zip(trace.iterates, iterates, strict=True):
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
+    @pytest.mark.parametrize("scheme, buffers", [("varying", 1.5), ("fixed", 2.5)])
+    def test_peak_memory(self, scheme, buffers):
+        # never above the dense passes: one Q x Q float64 buffer for the
+        # varying scheme, K(v0) plus one for the fixed scheme (the few-block
+        # bound is TestMemoryBudget's)
+        q = 1024
+        v0 = Rearrangement(np.linspace(255.0, 0.0, q), np.ones(q))
+        cfg = FilterConfig(make_kernel("gaussian", 25.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=3)
+        tracemalloc.start()
+        try:
+            trace = iterate(v0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 3
+        assert peak <= buffers * 8 * q * q
+
     @pytest.mark.parametrize("scheme, weight_sets", [("varying", 4), ("fixed", 4)])
     def test_evaluation_count(self, scheme, weight_sets):
         v0 = decreasing_rearrangement(random_quantized(12))[0]
