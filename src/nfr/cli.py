@@ -13,8 +13,10 @@ major); PGM output is a rounded, clamped presentation copy, the CSV path is
 the authoritative one for numeric comparisons.  The CSV writer formats each
 level once: the nf filter's output has at most Q distinct values, written
 through the pixel-to-level index.  `denoise` and `segment` write a one-line
-JSON report (sorted keys) through one writer, `_write_report`; only
-`segment` adds `region_count`.  `--max-iter` is every filter's one step
+JSON report (sorted keys) through one writer, `_write_report`, with the
+pixel count `n` and the level count `q` of the rearrangement the run
+filtered (null for the pixel-domain filters); only `segment` adds
+`region_count`.  `--max-iter` is every filter's one step
 count, at least 1 (nf and `segment` may stop earlier on `--tol`); `denoise`
 resolves its per-filter default first, so the report's `params.max_iter` is
 the one used.
@@ -154,9 +156,10 @@ def cmd_denoise(args) -> int:
     if args.max_iter is None:  # resolved here so the report shows the count
         args.max_iter = {"nf": 100, "nf-direct": 10}.get(args.filter, 1)
     iterations = args.max_iter
-    stop_reason = j_trace = table = index = None
+    stop_reason = j_trace = table = index = q = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
+        q = rearr.values.size
         trace = iterate(rearr, _filter_config(args, k))
         table, index = trace.iterates[-1].values, levels.pixel_level
         out = reconstruct(levels, table)
@@ -179,8 +182,8 @@ def cmd_denoise(args) -> int:
     ticks.append(time.perf_counter())
 
     _write_report(args.report or f"{args.output}.report.jsonl", args, k, ticks,
-                  outputs, iterations=iterations, stop_reason=stop_reason,
-                  j_trace=j_trace)
+                  outputs, n=img.n, q=q, iterations=iterations,
+                  stop_reason=stop_reason, j_trace=j_trace)
     return 0
 
 
@@ -209,9 +212,9 @@ def cmd_segment(args) -> int:
     ticks.append(time.perf_counter())
 
     _write_report(args.report or f"{args.prefix}.report.jsonl", args, k, ticks,
-                  outputs, iterations=trace.iterations,
-                  stop_reason=trace.stop_reason, j_trace=trace.j_values,
-                  region_count=seg.region_count)
+                  outputs, n=img.n, q=trace.iterates[0].values.size,
+                  iterations=trace.iterations, stop_reason=trace.stop_reason,
+                  j_trace=trace.j_values, region_count=seg.region_count)
     return 0
 
 

@@ -6,9 +6,9 @@ The engine iterates
 
 a mass-weighted kernel average over the grouped levels of a rearrangement.
 Because rearrangements are step functions, the mass-weighted sum IS the
-exact integral — there is no quadrature error, and one step costs exactly
-Q^2 kernel evaluations for Q distinct levels, independent of the pixel
-count.  Two weighting schemes exist: "varying" re-reads the weights from the
+exact integral — there is no quadrature error, and one step applies exactly
+Q^2 pair weights for Q distinct levels, independent of the pixel count.
+Two weighting schemes exist: "varying" re-reads the weights from the
 current iterate (m = n), "fixed" keeps the weights of the initial one
 (m = 0).
 
@@ -17,10 +17,13 @@ pair matrix, and each block gives its share of J(v_n) and its rows of the
 next step.  A block holds at most _BLOCK_BYTES of float64 pair values, so
 memory is a few blocks plus O(Q) vectors, never Q x Q.  A profile with a
 `minus_one` hook (the Gaussian) gives J and the weights from one expm1
-block; any other gives J from its primitive over the block's i < j pairs
-and the weights from the profile on the same differences.  The fixed scheme
-recomputes the K(v_0) blocks each step, so both schemes form Q^2 weights
-per step applied.
+block, and since K_h(v_i - v_j) is symmetric in (i, j) that block takes
+only the columns [a, Q): each unordered pair's weight is computed once and
+used for both (i, j) and (j, i), about Q(Q + r)/2 expm1 values per pass for
+r-row blocks instead of Q^2.  Any other profile gives J from its primitive
+over the block's i < j pairs and the weights from the profile on all Q
+columns.  The fixed scheme recomputes the K(v_0) blocks each step.  In both
+schemes a step applies Q^2 pair weights, and that is what `iterate` counts.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -145,22 +148,28 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
 def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     """One pass over the row blocks of v: J(v), and unless w is None the
     [numerator, row sum] of every row of v's next step under the weights
-    K_h(w_i - w_j) (else None).  With the profile's `minus_one` hook, the
-    block E = K - 1 of v gives J = -h^2 m^T E m and, plus one in place, the
-    weights; without it, J sums m_i m_j g((v_i - v_j)^2) over the block's
-    i < j pairs, and the weights are the profile on the same differences.
-    Counts no evaluations: `iterate` counts the steps it applies.
+    K_h(w_i - w_j) (else None).  With the profile's `minus_one` hook, row
+    block [a, b) takes the columns [a, Q) only: its block E = K - 1 of v
+    gives the share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:]
+    with the entries right of the diagonal block doubled, and, plus one in
+    place, the weights, applied to rows [a, b) and, transposed, to the rows
+    right of the block.  Each unordered pair's weight is thus computed once,
+    about Q(Q + r)/2 values per pass for r-row blocks; a single block
+    (r >= Q) is the full-row computation.  Without the hook, J sums
+    m_i m_j g((v_i - v_j)^2) over the block's i < j pairs, and the weights
+    are the profile on all Q columns.  Counts no evaluations: `iterate`
+    counts the Q^2 pair weights of each step it applies.
     """
     x, m, h = v.values, v.masses, k.h
     minus_one = getattr(k.profile, "minus_one", None)
     rows = max(1, _BLOCK_BYTES // (8 * x.size))
-    nd = None if w is None else np.empty((x.size, 2))
+    nd = None if w is None else np.zeros((x.size, 2))
     rhs = None if w is None else np.stack((m * x, m), axis=1)
     total = 0.0
     for a in range(0, x.size, rows):
         b = min(a + rows, x.size)
-        d = np.subtract.outer(x[a:b], x)
         if minus_one is None:
+            d = np.subtract.outer(x[a:b], x)
             upper = np.arange(x.size) > np.arange(a, b)[:, None]
             g = g_primitive(k, np.square(d[upper]))
             total += float(np.outer(m[a:b], m)[upper] @ g)
@@ -168,16 +177,22 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
                 d = d if w is x else np.subtract.outer(w[a:b], w)
                 nd[a:b] = k.profile(d / h) @ rhs
             continue
+        # columns [a, Q): the diagonal block, then pairs that stand for
+        # both (i, j) and (j, i), hence twice their mass in J
+        d = np.subtract.outer(x[a:b], x[a:])
         d /= h
         e = minus_one(d)
-        total += float(m[a:b] @ (e @ m))
+        c = m[a:].copy()
+        c[b - a:] *= 2.0
+        total += float(m[a:b] @ (e @ c))
         if w is not None:
             if w is not x:
-                e = np.subtract.outer(w[a:b], w)
+                e = np.subtract.outer(w[a:b], w[a:])
                 e /= h
                 e = minus_one(e)
             e += 1.0  # E -> K in place
-            nd[a:b] = e @ rhs
+            nd[a:b] += e @ rhs[a:]
+            nd[b:] += e[:, b - a:].T @ rhs[a:b]
     return (2.0 * total if minus_one is None else -(h * h) * total), nd
 
 

@@ -463,10 +463,11 @@ class TestReport:
         import nfr.cli
 
         monkeypatch.delenv("NFR_THREADS", raising=False)
-        keys = {"command", "params", "iterations", "stop_reason", "j_trace",
-                "kernel_evaluations", "timings_ms", "outputs"}
+        keys = {"command", "params", "n", "q", "iterations", "stop_reason",
+                "j_trace", "kernel_evaluations", "timings_ms", "outputs"}
         run_params = {"command", "input", "kernel", "h", "p", "scheme",
                       "max_iter", "tol", "report"}
+        levels = np.unique(synthetic.squares(16).to_array().astype(np.uint8)).size
         for name in ("nf", "nf-direct", "bilateral", "nlm"):
             rep = tmp_path / f"{name}.json"
             rc = nfr.cli.main(["denoise", "--input", str(squares_pgm),
@@ -478,6 +479,8 @@ class TestReport:
             assert set(report["params"]) == run_params | {
                 "output", "filter", "rho", "patch"}, name
             assert set(report["timings_ms"]) == {"read", "filter", "write"}
+            assert report["n"] == 16 * 16, name
+            assert report["q"] == (levels if name == "nf" else None), name
             if name != "nf":
                 assert report["stop_reason"] is None, name
                 assert report["j_trace"] is None, name
@@ -488,6 +491,7 @@ class TestReport:
         assert rc == 0
         report = json.loads((tmp_path / "seg.json").read_text())
         assert set(report) == keys | {"region_count"}
+        assert (report["n"], report["q"]) == (16 * 16, levels)
         assert set(report["params"]) == run_params | {"prefix", "merge_tol"}
         assert set(report["timings_ms"]) == {"read", "filter", "write"}
 

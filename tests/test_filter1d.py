@@ -290,6 +290,40 @@ def noisy_squares_32():
     return add_gaussian_noise(synthetic.squares(32), NoiseSpec(10.0, 7))
 
 
+def full_row_gaussian_pass(k, v, w):
+    """`_pass`'s Gaussian branch with every row block against all Q columns,
+    so each unordered pair is evaluated twice: the reference for the pass
+    that takes the columns [a, Q) only."""
+    x, m, h = v.values, v.masses, k.h
+    rows = max(1, nfr.filter1d._BLOCK_BYTES // (8 * x.size))
+    nd = np.empty((x.size, 2))
+    rhs = np.stack((m * x, m), axis=1)
+    total = 0.0
+    for a in range(0, x.size, rows):
+        b = min(a + rows, x.size)
+        d = np.subtract.outer(x[a:b], x)
+        d /= h
+        e = k.profile.minus_one(d)
+        total += float(m[a:b] @ (e @ m))
+        if w is not x:
+            e = np.subtract.outer(w[a:b], w)
+            e /= h
+            e = k.profile.minus_one(e)
+        e += 1.0
+        nd[a:b] = e @ rhs
+    return -(h * h) * total, nd
+
+
+def pass_inputs(q, scheme):
+    """Levels over [0, 255) with masses 1..8, and the weight levels of the
+    scheme: the levels themselves (varying) or other ones (fixed)."""
+    rng = np.random.default_rng(q)
+    v = Rearrangement(np.sort(rng.uniform(0, 255, q))[::-1],
+                      rng.integers(1, 9, q).astype(float))
+    w = v.values if scheme == "varying" else np.sort(rng.uniform(0, 255, q))[::-1]
+    return v, w
+
+
 class TestGaussianPass:
     """The blocked passes of `iterate` against their definition."""
 
@@ -329,6 +363,37 @@ class TestGaussianPass:
         np.testing.assert_allclose(trace.j_values, j_values, rtol=1e-12)
         for got, want in zip(trace.iterates, iterates, strict=True):
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("h", [5.0, 25.0])
+    def test_one_block_is_the_full_row_pass(self, scheme, h):
+        # Q = 362 is one block: the columns [0, Q) are every column
+        k = make_kernel("gaussian", h)
+        v, w = pass_inputs(362, scheme)
+        assert nfr.filter1d._BLOCK_BYTES // (8 * 362) >= 362
+        j, nd = nfr.filter1d._pass(k, v, w)
+        j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
+        assert j == j_ref
+        assert np.array_equal(nd, nd_ref)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("h", [5.0, 25.0])
+    @pytest.mark.parametrize("q, rows", [(363, None), (1000, 3), (1000, 5)],
+                             ids=["363-two-blocks", "1000-3-rows", "1000-5-rows"])
+    def test_blocks_match_the_full_row_pass(self, q, rows, scheme, h, monkeypatch):
+        # Q = 363 is blocks of 361 and 2 rows; the tolerance is set by the
+        # summation order of float64 dot products, not fitted to the result
+        if rows is not None:
+            monkeypatch.setattr(nfr.filter1d, "_BLOCK_BYTES", rows * 8 * q)
+        k = make_kernel("gaussian", h)
+        v, w = pass_inputs(q, scheme)
+        j, nd = nfr.filter1d._pass(k, v, w)
+        j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
+        np.testing.assert_allclose(j, j_ref, rtol=1e-12, atol=1e-12 * abs(j_ref))
+        for col in range(2):
+            scale = float(np.max(np.abs(nd_ref[:, col])))
+            np.testing.assert_allclose(nd[:, col], nd_ref[:, col], rtol=1e-12,
+                                       atol=1e-12 * scale)
 
     @pytest.mark.parametrize("scheme, buffers", [("varying", 1.5), ("fixed", 2.5)])
     def test_peak_memory(self, scheme, buffers):
