@@ -265,7 +265,7 @@ def expansion_residual(v0, k: Kernel, domain_length: float = 1.0):
         raise ValueError("samples must be strictly decreasing")
 
     length = float(domain_length)
-    if length <= 0.0:
+    if not length > 0.0:
         raise ValueError("domain_length must be positive")
     dt = length / m
 

@@ -22,10 +22,11 @@ The primitive g used by the stopping functional comes from the profile's own
 p = 2 (h^2 log1p(s/h^2)) and p = 4 (h^2 arctan(s/h^2)).  Other exponents,
 and profiles without `primitive`, use one vectorised numpy rule: with
 R = sqrt(s)/h and r = e^y, g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over
-[min(ln R, 0) - 20, ln R], split into uniform panels of width <= 0.25 with a
-16-node Gauss-Legendre rule on each.  For the power family it is tested to a
-relative error of 1e-12 for p <= 20 (about 4e-15 measured; it degrades to
-about 1e-9 at p = 40, where the poles of K come close to the real axis).
+[min(ln R, 0) - 20, ln R].  A call integrates its span once, in panels of
+width 0.25 at fixed edges with a 16-node Gauss-Legendre rule each; each s
+adds that rule over its last, partial panel, so equal s get equal g.  For
+the power family it is tested to relative error 1e-12 for p <= 20 (4e-15
+measured; about 1e-9 at p = 40, where K's poles come near the real axis).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class PowerDecayProfile:
 
     def __init__(self, p: float = 2.0):
         p = float(p)
-        if p <= 1.0:
+        if not p > 1.0:
             raise ValueError("power-decay exponent must satisfy p > 1")
         self.p = p
 
@@ -111,7 +112,7 @@ class Kernel:
 
     def __init__(self, profile, h: float):
         h = float(h)
-        if h <= 0.0:
+        if not h > 0.0:
             raise ValueError("kernel scale h must be positive")
         k0 = float(np.asarray(profile(0.0)))
         if not k0 > 0.0:
@@ -150,24 +151,23 @@ def eval_scaled(k: Kernel, xi):
     return k.profile(xi / k.h)
 
 
-_PANEL = 0.25            # widest panel of the log-radius rule
+_PANEL = 0.25            # panel width of the log-radius rule
 _TAIL = 20.0             # the cut-off part is below e^-40 of the integral
 _BLOCK = 1 << 16         # elements of s per block
-_CHUNK_NODES = 1 << 19   # quadrature nodes per chunk (4 MB per array)
 
 
 def g_primitive(k: Kernel, s):
     """Primitive g(s) = integral of K_h(sqrt(t)) dt over [0, s], s >= 0.
 
     Calls `k.profile.primitive(s, h)`; a profile without one uses the
-    log-radius Gauss-Legendre rule of the module docstring, tested to
-    relative error 1e-12 for power kernels with p <= 20.  Neither calls
+    log-radius rule of the module docstring (relative error 1e-12 for power
+    kernels with p <= 20; equal s in one call get equal g).  Neither calls
     `eval_scaled`, so the primitive adds nothing to `k.evaluations`.
     g is non-decreasing with g(0) = 0 and g(s) <= s * K(0).
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s_arr = np.asarray(s, dtype=np.float64)
-    if np.any(s_arr < 0.0):
+    if not np.all(s_arr >= 0.0):
         raise ValueError("g_primitive argument must be nonnegative")
     primitive = getattr(k.profile, "primitive", None)
     if primitive is None:
@@ -180,34 +180,34 @@ def g_primitive(k: Kernel, s):
 def _log_panel_primitive(profile, h: float, s: np.ndarray) -> np.ndarray:
     """g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over (-inf, ln R], R = sqrt(s)/h.
 
-    The range is cut at min(ln R, 0) - _TAIL and split into the fewest uniform
-    panels of width <= _PANEL, each with a 16-node Gauss-Legendre rule.
-    Elements are grouped by panel count, so each result depends on its own s
-    only (g of a symmetric matrix stays symmetric).  s is taken in blocks of
-    _BLOCK elements and the nodes in chunks of _CHUNK_NODES, so the
-    temporaries stay below about 64 MB whatever the size of s.
+    One table per call: the P panels of width _PANEL at fixed edges from
+    min(ln R, 0) - _TAIL to the largest ln R, each integrated once with the
+    16-node rule, summed cumulatively.  Each positive s adds the same rule
+    over its partial panel: 16 (n + P) nodes for n of them, equal s get equal
+    g (g of a symmetric matrix stays symmetric), and blocks of _BLOCK keep
+    the temporaries below about 64 MB whatever the size of s.
     """
     x, w = np.polynomial.legendre.leggauss(16)
+    t, w = 0.5 * (x + 1.0), 0.5 * w      # the rule on [0, 1]
     flat = s.ravel()
     out = np.zeros_like(flat)
+    positive = flat > 0.0
+    log_h = np.log(h)
+    s_min = np.min(flat, where=positive, initial=h * h)  # so lo <= -_TAIL
+    s_max = min(np.max(flat, where=positive, initial=s_min), np.finfo(np.float64).max)
+    lo = 0.5 * np.log(s_min) - log_h - _TAIL
+    panels = int(np.ceil((0.5 * np.log(s_max) - log_h - lo) / _PANEL))
+    edges = lo + _PANEL * np.arange(panels + 1)
+
+    def rule(a, width):  # the 16-node rule over [a, a + width], row by row
+        r = np.exp(a[:, None] + width[:, None] * t)
+        return width * (profile(r) * (r * r) * w).sum(axis=1)
+    table = np.concatenate(([0.0], np.cumsum(rule(edges[:-1], np.diff(edges)))))
     for b in range(0, flat.size, _BLOCK):
-        pos = b + np.flatnonzero(flat[b:b + _BLOCK] > 0.0)
-        upper = 0.5 * np.log(flat[pos]) - np.log(h)
-        lower = np.minimum(upper, 0.0) - _TAIL
-        width = upper - lower
-        panels = np.ceil(width / _PANEL).astype(np.intp)
-        for n in np.unique(panels):
-            sel = np.flatnonzero(panels == n)
-            # n uniform panels on [0, 1]: node positions and weights
-            t = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
-            tw = np.tile(w, n) / (2 * n)
-            step = max(1, _CHUNK_NODES // t.size)
-            for i in range(0, sel.size, step):
-                j = sel[i:i + step]
-                r = np.exp(lower[j, None] + width[j, None] * t)
-                f = profile(r) * (r * r)
-                f *= tw
-                out[pos[j]] = (2.0 * h * h) * width[j] * f.sum(axis=1)
+        pos = b + np.flatnonzero(positive[b:b + _BLOCK])
+        y = 0.5 * np.log(flat[pos]) - log_h
+        k = np.minimum((y - lo) / _PANEL, panels - 1).astype(np.intp)
+        out[pos] = (2.0 * h * h) * (table[k] + rule(edges[k], y - edges[k]))
     return out.reshape(s.shape)
 
 

@@ -123,7 +123,7 @@ class Rearrangement:
             raise ValueError("values must be finite")
         if np.any(np.diff(values) > 0):
             raise ValueError("rearrangement values must be non-increasing")
-        if masses.shape != values.shape or np.any(masses <= 0):
+        if masses.shape != values.shape or not np.all(masses > 0):
             raise ValueError("masses must be positive and match values")
 
     @property

@@ -65,7 +65,7 @@ def segment_with_trace(img: Image, cfg: FilterConfig, merge_tol: float = 1e-3
     region value is the mass-weighted mean of its levels, so total image
     mass is preserved.
     """
-    if merge_tol < 0.0:
+    if not merge_tol >= 0.0:
         raise ValueError("merge_tol must be >= 0")
     rearr, levels = decreasing_rearrangement(img)
     trace = iterate(rearr, cfg)

@@ -371,6 +371,35 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.csv",
                                                               "squares.pgm"]
 
+    def test_non_integer_step_count_is_2(self, tmp_path, squares_pgm, capsys):
+        import nfr.cli
+
+        for steps in ("2.5", "two"):
+            with pytest.raises(SystemExit) as exc:
+                nfr.cli.main(["denoise", "--input", str(squares_pgm), "--output",
+                              str(tmp_path / "o.pgm"), "--h", "25",
+                              "--max-iter", steps])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --max-iter: invalid int value: '{steps}'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["segment", "--prefix", "seg", "--h", "25", "--merge-tol", "nan"],
+         "merge_tol must be >= 0"),
+        (["denoise", "--output", "o.pgm", "--h", "nan"],
+         "kernel scale h must be positive"),
+        (["denoise", "--output", "o.pgm", "--h", "25", "--kernel", "power",
+          "--p", "nan"], "power-decay exponent must satisfy p > 1"),
+    ], ids=["merge-tol", "h", "p"])
+    def test_nan_parameter_is_4(self, tmp_path, squares_pgm, argv, message, capsys):
+        import nfr.cli
+
+        argv = [str(tmp_path / a) if a in ("seg", "o.pgm") else a for a in argv]
+        assert nfr.cli.main([*argv, "--input", str(squares_pgm)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
+
     @pytest.mark.parametrize("name", ["den.csv", "den.png"])
     def test_denoise_output_must_be_pgm(self, tmp_path, squares_pgm, name, capsys):
         import nfr.cli

@@ -1,6 +1,7 @@
 """Kernel profiles, scaling, primitive, decay condition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nfr import (
     g_primitive,
     make_kernel,
 )
-from nfr.kernels import _log_panel_primitive
+from nfr.kernels import _BLOCK, _PANEL, _TAIL, _log_panel_primitive
 
 
 class IncreasingProfile:
@@ -25,6 +26,50 @@ class IncreasingProfile:
 
     def derivative(self, s):
         return 2.0 * np.asarray(s, dtype=np.float64)
+
+
+def per_element_rule(profile, h, s):
+    """The log-radius rule with a fresh quadrature per element: the reference.
+
+    Each positive s gets the fewest uniform panels of width <= _PANEL on its
+    own [min(ln R, 0) - _TAIL, ln R], 16 Gauss-Legendre nodes each; elements
+    are grouped by panel count and the nodes taken in chunks.
+    """
+    chunk_nodes = 1 << 19
+    x, w = np.polynomial.legendre.leggauss(16)
+    flat = s.ravel()
+    out = np.zeros_like(flat)
+    for b in range(0, flat.size, _BLOCK):
+        pos = b + np.flatnonzero(flat[b:b + _BLOCK] > 0.0)
+        upper = 0.5 * np.log(flat[pos]) - np.log(h)
+        lower = np.minimum(upper, 0.0) - _TAIL
+        width = upper - lower
+        panels = np.ceil(width / _PANEL).astype(np.intp)
+        for n in np.unique(panels):
+            sel = np.flatnonzero(panels == n)
+            # n uniform panels on [0, 1]: node positions and weights
+            t = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
+            tw = np.tile(w, n) / (2 * n)
+            step = max(1, chunk_nodes // t.size)
+            for i in range(0, sel.size, step):
+                j = sel[i:i + step]
+                r = np.exp(lower[j, None] + width[j, None] * t)
+                f = profile(r) * (r * r)
+                f *= tw
+                out[pos[j]] = (2.0 * h * h) * width[j] * f.sum(axis=1)
+    return out.reshape(s.shape)
+
+
+class CountingProfile(PowerDecayProfile):
+    """A power profile that counts the quadrature nodes it is called on."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.nodes = 0
+
+    def __call__(self, s):
+        self.nodes += np.size(s)
+        return super().__call__(s)
 
 
 class TestEvalScaled:
@@ -121,8 +166,9 @@ class TestGPrimitive:
                                    rtol=1e-12, atol=0)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            g_primitive(make_kernel("gaussian", 1.0), -0.5)
+        for s in (-0.5, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                g_primitive(make_kernel("gaussian", 1.0), s)
 
     @pytest.mark.parametrize("name, p, s_max", [
         pytest.param("gaussian", 2.0, 40.0, id="gaussian"),
@@ -143,6 +189,72 @@ class TestGPrimitive:
         out = g_primitive(k, s)
         assert out.shape == s.shape
         assert out[0, 0] == 0.0
+
+
+class TestPanelTable:
+    """The one-table rule against the per-element rule it replaced."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0, 10.0, 20.0])
+    def test_matches_per_element_rule(self, p):
+        u = np.concatenate(([0.0], np.geomspace(1e-14, 1e10, 3000)))
+        for h in (0.05, 1.0, 25.0, 1000.0):
+            s = u * h * h
+            want = per_element_rule(PowerDecayProfile(p), h, s)
+            got = _log_panel_primitive(PowerDecayProfile(p), h, s)
+            assert got[0] == 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"h={h}")
+
+    @pytest.mark.parametrize("s", [0.0, 1e-14, 3.0, 1e10])
+    def test_zero_dimensional_input(self, s):
+        profile = PowerDecayProfile(3.0)
+        got = _log_panel_primitive(profile, 2.0, np.array(s))
+        assert got.shape == ()
+        want = per_element_rule(profile, 2.0, np.array([s]))[0]
+        assert float(got) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_equal_arguments_equal_values(self):
+        # on a ramp s depends on |i - j| only, so g is symmetric and constant
+        # along each diagonal, across the two element blocks as well
+        x = np.arange(300.0)
+        s = np.square(np.subtract.outer(x, x))
+        g = _log_panel_primitive(PowerDecayProfile(3.0), 7.0, s)
+        assert np.array_equal(g, g.T)
+        for d in range(1, x.size):
+            assert np.all(np.diag(g, d) == g[0, d])
+
+    def test_infinite_argument(self):
+        # an overflowing squared difference caps the table at the largest
+        # double instead of asking for infinitely many panels
+        profile = PowerDecayProfile(3.0)
+        s = np.array([0.0, 4.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):  # K(r) at r^3 = inf
+            g = _log_panel_primitive(profile, 2.0, np.append(s, np.inf))
+            want = per_element_rule(profile, 2.0, s)
+        np.testing.assert_allclose(g[:3], want, rtol=1e-12, atol=0)
+
+    def test_peak_memory(self):
+        s = np.geomspace(1e-10, 1e10, 1 << 20)
+        tracemalloc.start()
+        try:
+            _log_panel_primitive(PowerDecayProfile(3.0), 25.0, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_node_budget(self):
+        # the i < j pairs of a 512-level ramp: 16 nodes per positive element
+        # plus 16 per table panel; a quadrature per element needs >= 80 panels
+        x = np.arange(512.0)
+        s = np.square(np.subtract.outer(x, x)[np.triu_indices(x.size, 1)])
+        h = 1000.0
+        profile = CountingProfile(3.0)
+        _log_panel_primitive(profile, h, s)
+        y = 0.5 * np.log(s) - np.log(h)
+        lo = min(y.min(), 0.0) - _TAIL
+        panels = math.ceil((y.max() - lo) / _PANEL) + 1  # one for rounding
+        assert profile.nodes <= 16 * (s.size + panels)
 
 
 class TestDecayCondition:
@@ -194,13 +306,23 @@ class TestDecayCondition:
 
 class TestConstruction:
     def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            make_kernel("gaussian", 0.0)
+        for h in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="scale h must be positive"):
+                make_kernel("gaussian", h)
 
     def test_bad_power_exponent(self):
-        with pytest.raises(ValueError):
-            PowerDecayProfile(1.0)
+        for p in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="exponent must satisfy p > 1"):
+                PowerDecayProfile(p)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_kernel("triangle", 1.0)
+
+    @pytest.mark.parametrize("k0", [0.0, -1.0, float("nan")])
+    def test_profile_not_positive_at_zero(self, k0):
+        def profile(s):
+            return np.full(np.shape(s), k0)
+
+        with pytest.raises(ValueError, match="positive at 0"):
+            Kernel(profile, 1.0)

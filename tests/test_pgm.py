@@ -95,6 +95,17 @@ class TestReadParsing:
         with pytest.raises(PgmError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"P5\n2 2", "truncated header"),
+        (b"P5 # 2 2 255\n", "truncated header"),
+        (b"P5\n2 2\n255", "missing raster"),
+    ], ids=["no-maxval", "all-comment", "no-separator"])
+    def test_rejects_short_header(self, tmp_path, content, message):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(content)
+        with pytest.raises(PgmError, match=message):
+            read_pgm(p)
+
     def test_rejects_non_numeric_header(self, tmp_path):
         p = tmp_path / "k.pgm"
         p.write_bytes(b"P5\nwide tall\n255\n")

@@ -5,6 +5,8 @@ import pytest
 
 from nfr import (
     Image,
+    LevelStructure,
+    Rearrangement,
     decreasing_rearrangement,
     distribution_function,
     histogram,
@@ -246,11 +248,50 @@ class TestValidation:
             Image.from_array([[1.0, np.nan]])
 
     def test_rearrangement_must_be_non_increasing(self):
-        from nfr import Rearrangement
         with pytest.raises(ValueError):
             Rearrangement(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
 
     def test_positive_masses(self):
-        from nfr import Rearrangement
-        with pytest.raises(ValueError):
-            Rearrangement(np.array([2.0, 1.0]), np.array([1.0, 0.0]))
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError, match="masses must be positive"):
+                Rearrangement(np.array([2.0, 1.0]), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "non-empty 1-D"),
+        ([1.0, np.inf], "finite"),
+        ([1.0, np.nan], "finite"),
+    ], ids=["empty", "inf", "nan"])
+    def test_rearrangement_values(self, values, message):
+        values = np.array(values)
+        with pytest.raises(ValueError, match=message):
+            Rearrangement(values, np.ones(values.size))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (3, -1), ()])
+    def test_image_extents_positive(self, shape):
+        with pytest.raises(ValueError, match="positive extents"):
+            Image(np.zeros(0), shape)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("values", [], "non-empty 1-D"),
+        ("values", [1.0, 2.0], "strictly descending"),
+        ("masses", [1, 0], "positive integer mass"),
+        ("pixel_level", [0, 1], "does not match shape"),
+        ("masses", [1, 1], "sum to the pixel count"),
+        ("pixel_level", [0, 2, 1], "out-of-range"),
+    ], ids=["empty", "ascending", "zero-mass", "size", "mass-sum", "index"])
+    def test_level_structure(self, field, value, message):
+        good = dict(values=[2.0, 1.0], masses=[1, 2], pixel_level=[0, 1, 1],
+                    shape=(3,))
+        LevelStructure(**good)
+        with pytest.raises(ValueError, match=message):
+            LevelStructure(**{**good, field: value})
+
+
+class TestSyntheticSizes:
+    @pytest.mark.parametrize("make, size", [
+        (synthetic.squares, 0), (synthetic.squares, 7), (synthetic.squares_masks, 5),
+        (synthetic.gradient, 1), (synthetic.texture, 1),
+    ], ids=["squares-0", "squares-odd", "masks-odd", "gradient-1", "texture-1"])
+    def test_rejects_bad_size(self, make, size):
+        with pytest.raises(ValueError, match="size must be"):
+            make(size)

@@ -109,6 +109,13 @@ class TestDirectNf:
         a = direct_nf(img, gauss(18.0), 3, workers=1)
         b = direct_nf(img, gauss(18.0), 3, workers=3)
         assert np.array_equal(a.data, b.data)
+        # N = Q = 4096 is 16 row blocks, so the worker pool does run
+        rng = np.random.default_rng(5)
+        img = Image.from_array(rng.permutation(4096).reshape(64, 64) * 0.0625)
+        for scheme in ("varying", "fixed"):
+            a = direct_nf(img, gauss(25.0), 2, scheme, workers=1)
+            b = direct_nf(img, gauss(25.0), 2, scheme, workers=3)
+            assert np.array_equal(a.data, b.data), scheme
 
     def test_peak_memory_is_blocked(self, gauss):
         # N = Q = 4096: one 4096-row block would hold 128 MiB per temporary

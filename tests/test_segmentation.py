@@ -90,6 +90,11 @@ class TestSegment:
             segment(squares_clean, FilterConfig(make_kernel("gaussian", 25.0)),
                     merge_tol=-0.1)
 
+    def test_nan_merge_tol_rejected(self, squares_clean):
+        with pytest.raises(ValueError, match="merge_tol"):
+            segment(squares_clean, FilterConfig(make_kernel("gaussian", 25.0)),
+                    merge_tol=float("nan"))
+
 
 class TestDice:
     def test_identical(self):
