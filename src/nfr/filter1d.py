@@ -204,7 +204,9 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
     descends this functional.  Zero exactly when v is constant.  Taken one
     row block at a time (see `_pass`): for a profile without the `minus_one`
     hook, as twice the sum over i < j, so g_primitive sees Q(Q-1)/2 squared
-    differences, not Q^2.
+    differences, not Q^2.  Above one block (Q > 362 at _BLOCK_BYTES = 1 MiB)
+    J can change at the ulp level with the block layout: the sum's order,
+    and for the log-radius rule g's table, follow the blocks.
     """
     return _pass(k, v, None)[0]
 

@@ -20,13 +20,13 @@ uses each for both orders of its pair.
 The primitive g used by the stopping functional comes from the profile's own
 `primitive`: a closed form for the Gaussian, and for the power family at
 p = 2 (h^2 log1p(s/h^2)) and p = 4 (h^2 arctan(s/h^2)).  Other exponents,
-and profiles without `primitive`, use one vectorised numpy rule: with
-R = sqrt(s)/h and r = e^y, g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over
-[min(ln R, 0) - 20, ln R].  A call integrates its span once, in panels of
-width 0.25 at fixed edges with a 16-node Gauss-Legendre rule each; each s
-adds that rule over its last, partial panel, so equal s get equal g.  For
-the power family it is tested to relative error 1e-12 for p <= 20 (4e-15
-measured; about 1e-9 at p = 40, where K's poles come near the real axis).
+and profiles without `primitive`, use one vectorised numpy rule: g(s) =
+2 h^2 * integral of K(e^y) e^{2y} dy from below min(ln R, 0) - 20 to ln R,
+R = sqrt(s)/h, in panels between multiples of 0.25 integrated once per call
+with a 16-node Gauss-Legendre rule; each s adds it over its partial panel, so
+equal s get equal g (to the ulp across calls).  For the power family it is
+tested to relative error 1e-12 for p <= 20 (4e-15 measured; about 1e-9 at
+p = 40, where K's poles come near the real axis).
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def g_primitive(k: Kernel, s):
 
     Calls `k.profile.primitive(s, h)`; a profile without one uses the
     log-radius rule of the module docstring (relative error 1e-12 for power
-    kernels with p <= 20; equal s in one call get equal g).  Neither calls
-    `eval_scaled`, so the primitive adds nothing to `k.evaluations`.
-    g is non-decreasing with g(0) = 0 and g(s) <= s * K(0).
+    kernels with p <= 20), whose g of equal s agree to the ulp across calls.
+    Neither calls `eval_scaled`, so the primitive adds nothing to
+    `k.evaluations`.  g is non-decreasing with g(0) = 0 and g(s) <= s * K(0).
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s_arr = np.asarray(s, dtype=np.float64)
@@ -180,12 +180,11 @@ def g_primitive(k: Kernel, s):
 def _log_panel_primitive(profile, h: float, s: np.ndarray) -> np.ndarray:
     """g(s) = 2 h^2 * integral of K(e^y) e^{2y} dy over (-inf, ln R], R = sqrt(s)/h.
 
-    One table per call: the P panels of width _PANEL at fixed edges from
-    min(ln R, 0) - _TAIL to the largest ln R, each integrated once with the
-    16-node rule, summed cumulatively.  Each positive s adds the same rule
-    over its partial panel: 16 (n + P) nodes for n of them, equal s get equal
-    g (g of a symmetric matrix stays symmetric), and blocks of _BLOCK keep
-    the temporaries below about 64 MB whatever the size of s.
+    One table per call: the P panels between multiples of _PANEL from below
+    min(ln R, 0) - _TAIL to the largest ln R, integrated once and summed
+    cumulatively; each positive s adds the 16-node rule from the multiple
+    below its ln R.  16 (n + P) nodes for n of them, in blocks of _BLOCK (below
+    about 64 MB).  Equal s get equal g; an infinite s raises ValueError.
     """
     x, w = np.polynomial.legendre.leggauss(16)
     t, w = 0.5 * (x + 1.0), 0.5 * w      # the rule on [0, 1]
@@ -193,11 +192,12 @@ def _log_panel_primitive(profile, h: float, s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(flat)
     positive = flat > 0.0
     log_h = np.log(h)
-    s_min = np.min(flat, where=positive, initial=h * h)  # so lo <= -_TAIL
-    s_max = min(np.max(flat, where=positive, initial=s_min), np.finfo(np.float64).max)
-    lo = 0.5 * np.log(s_min) - log_h - _TAIL
-    panels = int(np.ceil((0.5 * np.log(s_max) - log_h - lo) / _PANEL))
-    edges = lo + _PANEL * np.arange(panels + 1)
+    s_min = np.min(flat, where=positive, initial=h * h)  # table from below -_TAIL
+    s_max = np.max(flat, where=positive, initial=s_min)
+    if not np.isfinite(s_max):
+        raise ValueError("the log-radius rule needs finite arguments")
+    first = np.floor((0.5 * np.log(s_min) - log_h - _TAIL) / _PANEL)
+    edges = _PANEL * np.arange(first, np.floor((0.5 * np.log(s_max) - log_h) / _PANEL) + 1)
 
     def rule(a, width):  # the 16-node rule over [a, a + width], row by row
         r = np.exp(a[:, None] + width[:, None] * t)
@@ -206,7 +206,7 @@ def _log_panel_primitive(profile, h: float, s: np.ndarray) -> np.ndarray:
     for b in range(0, flat.size, _BLOCK):
         pos = b + np.flatnonzero(positive[b:b + _BLOCK])
         y = 0.5 * np.log(flat[pos]) - log_h
-        k = np.minimum((y - lo) / _PANEL, panels - 1).astype(np.intp)
+        k = (np.floor(y / _PANEL) - first).astype(np.intp)  # edges[k] <= y
         out[pos] = (2.0 * h * h) * (table[k] + rule(edges[k], y - edges[k]))
     return out.reshape(s.shape)
 

@@ -400,6 +400,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
 
+    def test_overflowing_power_j_is_4(self, tmp_path, capsys):
+        # (v_i - v_j)^2 overflows; the quadrature J refuses it instead of
+        # reporting NaN
+        import nfr.cli
+
+        src = tmp_path / "big.csv"
+        src.write_text("# shape: 2 2\n1e200\n-1e200\n5e199\n-5e199\n")
+        with np.errstate(over="ignore"):
+            rc = nfr.cli.main(["denoise", "--input", str(src), "--output",
+                               str(tmp_path / "o.pgm"), "--kernel", "power",
+                               "--p", "3", "--h", "1", "--max-iter", "1"])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: the log-radius rule needs finite arguments\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
     @pytest.mark.parametrize("name", ["den.csv", "den.png"])
     def test_denoise_output_must_be_pgm(self, tmp_path, squares_pgm, name, capsys):
         import nfr.cli

@@ -224,14 +224,24 @@ class TestPanelTable:
             assert np.all(np.diag(g, d) == g[0, d])
 
     def test_infinite_argument(self):
-        # an overflowing squared difference caps the table at the largest
-        # double instead of asking for infinitely many panels
+        # an overflowing squared difference: the integral diverges for p <= 2,
+        # and the rule's K(inf) * inf is NaN
+        for p in (1.5, 3.0):
+            with pytest.raises(ValueError, match="needs finite arguments"):
+                _log_panel_primitive(PowerDecayProfile(p), 2.0,
+                                     np.array([0.0, 4.0, np.inf]))
+        with pytest.raises(ValueError, match="needs finite arguments"):
+            g_primitive(make_kernel("power", 2.0, 3.0), np.inf)
+
+    def test_other_calls_agree_to_the_ulp(self):
+        # the partial panel of an s starts at the same multiple of _PANEL in
+        # every call; only the table's rounding may differ
         profile = PowerDecayProfile(3.0)
-        s = np.array([0.0, 4.0, 1e300])
-        with np.errstate(over="ignore", invalid="ignore"):  # K(r) at r^3 = inf
-            g = _log_panel_primitive(profile, 2.0, np.append(s, np.inf))
-            want = per_element_rule(profile, 2.0, s)
-        np.testing.assert_allclose(g[:3], want, rtol=1e-12, atol=0)
+        s = np.geomspace(1e-6, 1e8, 5000)
+        alone = _log_panel_primitive(profile, 2.0, s)
+        for smaller in (1e-30, 1e-12):
+            g = _log_panel_primitive(profile, 2.0, np.append(s, smaller))
+            np.testing.assert_array_max_ulp(g[:-1], alone, maxulp=1)
 
     def test_peak_memory(self):
         s = np.geomspace(1e-10, 1e10, 1 << 20)
