@@ -23,10 +23,13 @@ the one used.
 
 Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1, a
 `--patch` below 0, a `--window` below 1, a `denoise --output` that is not a
-.pgm path, and a `noise --output` that is not .pgm with `--clamp` or .csv
-without it, all checked before the input is read), 3 I/O or file-format
-error, 4 numeric precondition violation or a computation too large for
-memory (`MemoryError`).
+.pgm path, a `noise --output` that is not .pgm with `--clamp` or .csv
+without it, and a `bench --sizes` with no size or a size below 1, all
+checked before the input is read), 3 I/O or file-format error (among them
+a `denoise` or `segment` input that is not 2-D, checked before filtering),
+4 numeric precondition violation (among them a flag or a J value that is
+not finite, so a report never holds NaN or Infinity) or a computation too
+large for memory (`MemoryError`).
 NFR_THREADS caps worker threads for the pixel-domain filter.
 """
 
@@ -79,6 +82,13 @@ def write_float_csv(path, img: Image, table=None, index=None):
             fh.write("".join(lines[start:start + _CSV_BLOCK]))
 
 
+def _write_rows(path, header: str, *columns):
+    """Write a CSV table of the columns, every cell formatted by `_fmt`."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+
+
 def read_float_csv(path) -> Image:
     # a text file decodes whole chunks, so even readline can raise
     # UnicodeDecodeError (a ValueError) for bad bytes further down
@@ -104,11 +114,21 @@ def load_image(path) -> tuple[Image, int]:
     raise FormatError(f"{p}: unknown image extension (want .pgm or .csv)")
 
 
+def _load_2d(path) -> tuple[Image, int]:
+    """`load_image` for the commands that write PGM, which must be 2-D."""
+    img, maxval = load_image(path)
+    if len(img.shape) != 2:
+        raise FormatError(f"{path}: PGM output needs a 2-D image, got shape {img.shape}")
+    return img, maxval
+
+
 def _write_report(path, args, k, ticks, outputs, **fields):
     """Write the one-line JSON report of `denoise` or `segment`.
 
     ticks: the four perf_counter readings that open and close the read,
-    filter and write phases.  fields: the command's own entries.
+    filter and write phases.  fields: the command's own entries.  A value
+    that is not finite, such as an unread `--p nan`, is a ValueError raised
+    before the file is opened, so no report is left behind.
     """
     report = {
         "command": getattr(args, "_argv", []),
@@ -120,8 +140,9 @@ def _write_report(path, args, k, ticks, outputs, **fields):
                                ((b - a) * 1e3 for a, b in zip(ticks, ticks[1:])))),
         "outputs": outputs,
     }
+    line = json.dumps(report, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True) + "\n")
+        fh.write(line + "\n")
 
 
 def _filter_config(args, k) -> FilterConfig:
@@ -135,21 +156,17 @@ def cmd_rearrange(args) -> int:
     img, _ = load_image(args.input)
     rearr, levels = decreasing_rearrangement(img)
     cum = np.concatenate(([0.0], np.cumsum(rearr.masses)[:-1]))
-    with open(f"{args.prefix}.rearrangement.csv", "w") as fh:
-        fh.write("cumulative_mass_start,mass,value\n")
-        for c, m, v in zip(cum, rearr.masses, rearr.values):
-            fh.write(f"{_fmt(c)},{_fmt(m)},{_fmt(v)}\n")
-    with open(f"{args.prefix}.histogram.csv", "w") as fh:
-        fh.write("value,mass\n")
-        # the histogram is the level structure in ascending order
-        for v, m in zip(levels.values[::-1], levels.masses[::-1]):
-            fh.write(f"{_fmt(v)},{int(m)}\n")
+    _write_rows(f"{args.prefix}.rearrangement.csv", "cumulative_mass_start,mass,value",
+                cum, rearr.masses, rearr.values)
+    # the histogram is the level structure in ascending order
+    _write_rows(f"{args.prefix}.histogram.csv", "value,mass",
+                levels.values[::-1], levels.masses[::-1])
     return 0
 
 
 def cmd_denoise(args) -> int:
     ticks = [time.perf_counter()]
-    img, maxval = load_image(args.input)
+    img, maxval = _load_2d(args.input)
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
@@ -189,7 +206,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_segment(args) -> int:
     ticks = [time.perf_counter()]
-    img, _ = load_image(args.input)
+    img, _ = _load_2d(args.input)
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
@@ -204,10 +221,8 @@ def cmd_segment(args) -> int:
         write_pgm(mask_path, seg.mask(i) * np.uint8(255), 255)
         outputs.append(mask_path)
     regions_path = f"{args.prefix}.regions.csv"
-    with open(regions_path, "w") as fh:
-        fh.write("label,value,mass\n")
-        for i, (v, m) in enumerate(zip(seg.region_values, seg.region_masses)):
-            fh.write(f"{i},{_fmt(v)},{_fmt(m)}\n")
+    _write_rows(regions_path, "label,value,mass", range(seg.region_count),
+                seg.region_values, seg.region_masses)
     outputs.append(regions_path)
     ticks.append(time.perf_counter())
 
@@ -241,6 +256,8 @@ def cmd_bench(args) -> int:
     try:
         sides = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
+        sides = []
+    if not sides or min(sides) < 1:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return 2
     q = args.q
@@ -259,25 +276,18 @@ def cmd_bench(args) -> int:
         rearr, _ = decreasing_rearrangement(img)
         k = make_kernel(args.kernel, args.h, args.p)
 
-        k.reset_evaluations()
-        t0 = time.perf_counter()
-        nf_step(rearr, rearr, k)
-        ms_1d = (time.perf_counter() - t0) * 1e3
-        evals_1d = k.evaluations
-
-        k.reset_evaluations()
-        t0 = time.perf_counter()
-        direct_nf(img, k, 1, "varying")
-        ms_direct = (time.perf_counter() - t0) * 1e3
-        evals_direct = k.evaluations
-
-        rows.append((n, rearr.values.size, evals_1d, evals_direct,
-                     n * n, ms_1d, ms_direct))
+        evals, ms = [], []
+        for run in (lambda: nf_step(rearr, rearr, k),
+                    lambda: direct_nf(img, k, 1, "varying")):
+            k.reset_evaluations()
+            t0 = time.perf_counter()
+            run()
+            ms.append(f"{(time.perf_counter() - t0) * 1e3:.3f}")
+            evals.append(k.evaluations)
+        rows.append((n, rearr.values.size, *evals, n * n, *ms))
     with open(args.output, "w") as fh:
         fh.write("n,q,evals_1d,evals_direct,evals_naive,ms_1d,ms_direct\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]},"
-                     f"{r[5]:.3f},{r[6]:.3f}\n")
+        fh.writelines(",".join(map(str, r)) + "\n" for r in rows)
     return 0
 
 

@@ -62,6 +62,8 @@ class FilterConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.stop_tolerance > 0.0:
             raise ValueError("stop_tolerance must be positive")
+        if math.isinf(self.stop_tolerance):
+            raise ValueError("stop_tolerance must be finite")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         self.max_iterations = int(self.max_iterations)
@@ -219,7 +221,8 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
     after max_iterations steps.  Pass n gives J(v_n) and the step to v_{n+1};
     the step is applied, and its Q^2 weights added to `k.evaluations`, only
     if the run goes on, so the count is iterations * Q^2 in both schemes.
-    Raises ValueError for a kernel that breaks the level order.
+    Raises ValueError for a kernel that breaks the level order, or for a J
+    that is not finite.
     """
     k = cfg.kernel
     trace, v = FilterTrace(), v0
@@ -227,6 +230,8 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
         more = n < cfg.max_iterations
         w = (v0 if cfg.scheme == "fixed" else v).values if more else None
         j, nd = _pass(k, v, w)
+        if not math.isfinite(j):
+            raise ValueError(f"the stopping functional J is {j} at iteration {n}")
         trace.iterates.append(v)
         trace.j_values.append(j)
         trace.sup_norms.append(float(np.max(np.abs(v.values))))

@@ -31,6 +31,7 @@ p = 40, where K's poles come near the real axis).
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -78,6 +79,8 @@ class PowerDecayProfile:
         p = float(p)
         if not p > 1.0:
             raise ValueError("power-decay exponent must satisfy p > 1")
+        if math.isinf(p):
+            raise ValueError("power-decay exponent must be finite")
         self.p = p
 
     def __call__(self, s):
@@ -114,6 +117,8 @@ class Kernel:
         h = float(h)
         if not h > 0.0:
             raise ValueError("kernel scale h must be positive")
+        if not 0.0 < h * h < math.inf:  # g and J scale with h^2
+            raise ValueError(f"kernel scale h must have a positive finite square, got {h!r}")
         k0 = float(np.asarray(profile(0.0)))
         if not k0 > 0.0:
             raise ValueError("kernel profile must be positive at 0")

@@ -1,12 +1,17 @@
 """Binary PGM (P5) reader/writer, 8- and 16-bit.
 
-Headers are written canonically as b"P5\\n<w> <h>\\n<maxval>\\n"; the reader
-accepts arbitrary whitespace and '#' comments.  Samples above 255 use two
-bytes per pixel, big endian, most significant byte first.  Round trips of
-canonically written files are byte-identical.
+Headers are written canonically as b"P5\\n<w> <h>\\n<maxval>\\n".  The reader
+takes b"P5", then width, height and maxval, each a token (a byte other than
+ASCII whitespace and '#', then any non-whitespace bytes) after any run of
+whitespace and '#' comments (each to the next b"\\r" or b"\\n"), then exactly
+one whitespace byte before the raster.  Samples above 255 use two bytes per
+pixel, big endian, most significant byte first.  Round trips of canonically
+written files are byte-identical.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -15,32 +20,25 @@ class PgmError(Exception):
     """Malformed PGM content."""
 
 
-def _read_tokens(buf: bytes, count: int):
-    """First `count` whitespace-separated tokens after comment stripping,
-    plus the offset one whitespace byte past the last token."""
-    tokens = []
-    i = 0
-    n = len(buf)
-    while len(tokens) < count:
-        while i < n and buf[i:i + 1].isspace():
-            i += 1
-        if i < n and buf[i] == ord("#"):
-            while i < n and buf[i] not in (10, 13):
-                i += 1
-            continue
-        start = i
-        while i < n and not buf[i:i + 1].isspace():
-            i += 1
-        if start == i:
+# whitespace and comments, then one token; the lookahead makes a comment run
+# to the end of its line, so the match cannot backtrack into its tail
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)")
+
+
+def _read_tokens(buf: bytes):
+    """The width, height and maxval tokens after buf's b"P5", plus the
+    offset one whitespace byte past maxval."""
+    tokens, pos = [], 2
+    for _ in range(3):
+        m = _TOKEN.match(buf, pos)
+        if m is None:
             raise PgmError("truncated header")
-        tokens.append(buf[start:i])
-        if len(tokens) < count:
-            continue
-        # exactly one whitespace byte separates header from raster
-        if i >= n:
-            raise PgmError("missing raster")
-        i += 1
-    return tokens, i
+        tokens.append(m[1])
+        pos = m.end()
+    # exactly one whitespace byte separates header from raster
+    if pos >= len(buf):
+        raise PgmError("missing raster")
+    return tokens, pos + 1
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -49,7 +47,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         buf = fh.read()
     if buf[:2] != b"P5":
         raise PgmError(f"{path}: not a binary PGM (P5)")
-    tokens, offset = _read_tokens(buf[2:], 3)
+    tokens, offset = _read_tokens(buf)
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
@@ -57,14 +55,13 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise PgmError(f"{path}: bad dimensions or maxval")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    raster = buf[2 + offset:]
     need = width * height * dtype.itemsize
-    if len(raster) < need:
-        raise PgmError(f"{path}: raster has {len(raster)} bytes, needs {need}")
-    data = np.frombuffer(raster[:need], dtype=dtype).reshape(height, width)
+    if len(buf) - offset < need:
+        raise PgmError(f"{path}: raster has {len(buf) - offset} bytes, needs {need}")
+    data = np.frombuffer(buf, dtype, count=width * height, offset=offset)
     if maxval > 255:
         data = data.astype(np.uint16)
-    return data, maxval
+    return data.reshape(height, width), maxval
 
 
 def write_pgm(path, array, maxval: int = 255):

@@ -45,6 +45,8 @@ class SpatialConfig:
     def __post_init__(self):
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
+        if math.isinf(self.rho):
+            raise ValueError("rho must be finite")
         if int(self.patch_radius) < 0:
             raise ValueError("patch_radius must be >= 0")
         self.patch_radius = int(self.patch_radius)

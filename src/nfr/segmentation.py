@@ -9,6 +9,7 @@ never splits a level set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ def segment_with_trace(img: Image, cfg: FilterConfig, merge_tol: float = 1e-3
     """
     if not merge_tol >= 0.0:
         raise ValueError("merge_tol must be >= 0")
+    if math.isinf(merge_tol):
+        raise ValueError("merge_tol must be finite")
     rearr, levels = decreasing_rearrangement(img)
     trace = iterate(rearr, cfg)
     final = trace.iterates[-1]

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from nfr import (Image, SpatialConfig, bilateral, direct_nf, make_kernel, nlm,
-                 read_pgm, write_pgm)
+from nfr import (FilterConfig, Image, SpatialConfig, bilateral, decreasing_rearrangement,
+                 direct_nf, make_kernel, nlm, read_pgm, segment, write_pgm)
 from nfr import synthetic
-from nfr.cli import read_float_csv, write_float_csv
+from nfr.cli import _fmt, _write_rows, read_float_csv, write_float_csv
 
 
 def run(*args, env=None):
@@ -57,6 +57,43 @@ class TestRearrange:
         hrows = [line.split(",") for line in hlines[1:]]
         assert [float(c[0]) for c in hrows] == [0.0, 85.0, 170.0, 255.0]
         assert [int(c[1]) for c in hrows] == [64] * 4
+
+    def test_table_bytes(self, tmp_path, squares_pgm):
+        # every cell is %.17g, which prints an integer below 2**53 as int()
+        # does; the expected rows are spelled out with f-strings
+        import nfr.cli
+
+        values = [-0.0, 5e-324, 1 / 3, 1e300]
+        _write_rows(tmp_path / "t.csv", "v,m,i", values, np.array([1.0, 2.0, 7.0, 2.0**52]),
+                    range(4))
+        assert (tmp_path / "t.csv").read_text() == (
+            "v,m,i\n-0,1,0\n4.9406564584124654e-324,2,1\n"
+            "0.33333333333333331,7,2\n1.0000000000000001e+300,4503599627370496,3\n")
+
+        src = tmp_path / "mixed.csv"
+        write_float_csv(src, Image(np.array([*values, 2.0, 2.0]), (2, 3)))
+        assert nfr.cli.main(["rearrange", "--input", str(src), "--prefix",
+                             str(tmp_path / "m")]) == 0
+        rearr, levels = decreasing_rearrangement(read_float_csv(src))
+        cum = np.concatenate(([0.0], np.cumsum(rearr.masses)[:-1]))
+        assert (tmp_path / "m.rearrangement.csv").read_text() == "".join(
+            ["cumulative_mass_start,mass,value\n"]
+            + [f"{_fmt(c)},{_fmt(m)},{_fmt(v)}\n"
+               for c, m, v in zip(cum, rearr.masses, rearr.values)])
+        assert (tmp_path / "m.histogram.csv").read_text() == "".join(
+            ["value,mass\n"] + [f"{_fmt(v)},{int(m)}\n"
+                                 for v, m in zip(levels.values[::-1], levels.masses[::-1])])
+
+        noisy = tmp_path / "noisy.csv"
+        assert nfr.cli.main(["noise", "--input", str(squares_pgm), "--output", str(noisy),
+                             "--snr", "10", "--seed", "7"]) == 0
+        assert nfr.cli.main(["segment", "--input", str(noisy), "--prefix",
+                             str(tmp_path / "seg"), "--h", "25"]) == 0
+        seg = segment(read_float_csv(noisy), FilterConfig(make_kernel("gaussian", 25.0)))
+        assert (tmp_path / "seg.regions.csv").read_text() == "".join(
+            ["label,value,mass\n"]
+            + [f"{i},{_fmt(v)},{_fmt(m)}\n"
+               for i, (v, m) in enumerate(zip(seg.region_values, seg.region_masses))])
 
 
 class TestDenoise:
@@ -286,9 +323,15 @@ class TestBench:
             assert ed == n * q          # pixel-domain direct filter
             assert en == n * n          # naive all-pairs baseline
 
-    def test_bad_sizes(self, tmp_path):
-        r = run("bench", "--sizes", "16,huge", "--output", tmp_path / "b.csv")
-        assert r.returncode == 2
+    def test_bad_sizes(self, tmp_path, capsys):
+        import nfr.cli
+
+        out = tmp_path / "b.csv"
+        for sizes in ("16,huge", "", ",", "0", "-4"):
+            rc = nfr.cli.main(["bench", "--sizes", sizes, "--q", "16", "--output", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: bad --sizes {sizes!r}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("q", [1, 0, -3])
     def test_bad_q(self, tmp_path, q, capsys):
@@ -391,7 +434,25 @@ class TestExitCodes:
          "kernel scale h must be positive"),
         (["denoise", "--output", "o.pgm", "--h", "25", "--kernel", "power",
           "--p", "nan"], "power-decay exponent must satisfy p > 1"),
-    ], ids=["merge-tol", "h", "p"])
+        # infinite values, and an h whose square underflows to 0
+        (["denoise", "--output", "o.pgm", "--h", "inf"],
+         "kernel scale h must have a positive finite square, got inf"),
+        (["denoise", "--output", "o.pgm", "--h", "inf", "--filter", "nf-direct"],
+         "kernel scale h must have a positive finite square, got inf"),
+        (["segment", "--prefix", "seg", "--h", "inf"],
+         "kernel scale h must have a positive finite square, got inf"),
+        (["denoise", "--output", "o.pgm", "--h", "1e-200", "--kernel", "power"],
+         "kernel scale h must have a positive finite square, got 1e-200"),
+        (["denoise", "--output", "o.pgm", "--h", "25", "--kernel", "power",
+          "--p", "inf"], "power-decay exponent must be finite"),
+        (["denoise", "--output", "o.pgm", "--h", "25", "--tol", "inf"],
+         "stop_tolerance must be finite"),
+        (["segment", "--prefix", "seg", "--h", "25", "--merge-tol", "inf"],
+         "merge_tol must be finite"),
+        (["denoise", "--output", "o.pgm", "--h", "25", "--filter", "bilateral",
+          "--rho", "inf"], "rho must be finite"),
+    ], ids=["merge-tol", "h", "p", "h-inf", "h-inf-nf-direct", "segment-h-inf",
+            "power-tiny-h", "p-inf", "tol-inf", "merge-tol-inf", "rho-inf"])
     def test_nan_parameter_is_4(self, tmp_path, squares_pgm, argv, message, capsys):
         import nfr.cli
 
@@ -399,6 +460,39 @@ class TestExitCodes:
         assert nfr.cli.main([*argv, "--input", str(squares_pgm)]) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
+
+    @pytest.mark.parametrize("extra", [["--p", "nan"], ["--rho", "inf"]],
+                             ids=["gaussian-p", "nf-rho"])
+    def test_unread_non_finite_flag_is_4(self, tmp_path, squares_pgm, extra, capsys):
+        # the filter never reads the flag, but the report would echo it as
+        # invalid JSON; the report is refused before its file is opened
+        import nfr.cli
+
+        out = tmp_path / "o.pgm"
+        assert nfr.cli.main(["denoise", "--input", str(squares_pgm), "--output", str(out),
+                             "--h", "25", *extra]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.pgm", "squares.pgm"]
+
+    def test_non_2d_input_is_3_before_filtering(self, tmp_path, monkeypatch, capsys):
+        # PGM output must be 2-D, so denoise and segment check the shape
+        # right after the read, not after filtering
+        import nfr.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("filtered an input that cannot be written")
+
+        for name in ("iterate", "segment_with_trace", "bilateral"):
+            monkeypatch.setattr(nfr.cli, name, never)
+        src = tmp_path / "line.csv"
+        src.write_text("# shape: 6\n1\n2\n3\n1\n2\n9\n")
+        for argv in (["denoise", "--output", str(tmp_path / "o.pgm")],
+                     ["denoise", "--output", str(tmp_path / "o.pgm"), "--filter", "bilateral"],
+                     ["segment", "--prefix", str(tmp_path / "seg")]):
+            assert nfr.cli.main([*argv, "--input", str(src), "--h", "25"]) == 3
+            assert capsys.readouterr().err == (f"error: {src}: PGM output needs a 2-D "
+                                               "image, got shape (6,)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv"]
 
     def test_overflowing_power_j_is_4(self, tmp_path, capsys):
         # (v_i - v_j)^2 overflows; the quadrature J refuses it instead of

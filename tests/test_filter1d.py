@@ -267,6 +267,14 @@ class TestIterate:
             FilterConfig(gauss(1.0), stop_tolerance=0.0)
         with pytest.raises(ValueError):
             FilterConfig(gauss(1.0), max_iterations=0)
+        with pytest.raises(ValueError, match="stop_tolerance must be finite"):
+            FilterConfig(gauss(1.0), stop_tolerance=math.inf)
+
+    def test_non_finite_j_is_refused(self):
+        # h^2 is finite, but h^2 times the pair sum overflows
+        v0 = Rearrangement(np.array([1e150, 0.0]), np.array([1e5, 1e5]))
+        with pytest.raises(ValueError, match="J is inf at iteration 0"):
+            iterate(v0, FilterConfig(make_kernel("gaussian", 1e150)))
 
 
 def reference_iterate(v0, cfg):

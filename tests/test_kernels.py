@@ -319,11 +319,17 @@ class TestConstruction:
         for h in (0.0, float("nan")):
             with pytest.raises(ValueError, match="scale h must be positive"):
                 make_kernel("gaussian", h)
+        # g and J scale with h^2, which must neither overflow nor underflow
+        for h in (math.inf, 1e200, 1e-200):
+            with pytest.raises(ValueError, match="positive finite square"):
+                make_kernel("gaussian", h)
 
     def test_bad_power_exponent(self):
         for p in (1.0, float("nan")):
             with pytest.raises(ValueError, match="exponent must satisfy p > 1"):
                 PowerDecayProfile(p)
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            PowerDecayProfile(math.inf)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,39 @@
 """Binary PGM reader/writer and the quantization helper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nfr import PgmError, quantize, read_pgm, write_pgm
+from nfr.pgm import _read_tokens
+
+
+def _reference_tokens(buf: bytes, count: int):
+    """The byte-at-a-time header scan the pattern in `nfr.pgm` replaced:
+    tokens of buf (without its magic) and the offset past the separator."""
+    tokens = []
+    i = 0
+    n = len(buf)
+    while len(tokens) < count:
+        while i < n and buf[i:i + 1].isspace():
+            i += 1
+        if i < n and buf[i] == ord("#"):
+            while i < n and buf[i] not in (10, 13):
+                i += 1
+            continue
+        start = i
+        while i < n and not buf[i:i + 1].isspace():
+            i += 1
+        if start == i:
+            raise PgmError("truncated header")
+        tokens.append(buf[start:i])
+        if len(tokens) < count:
+            continue
+        if i >= n:
+            raise PgmError("missing raster")
+        i += 1
+    return tokens, i
 
 
 class TestRoundtrip:
@@ -105,6 +135,41 @@ class TestReadParsing:
         p.write_bytes(content)
         with pytest.raises(PgmError, match=message):
             read_pgm(p)
+
+    def test_pattern_matches_byte_scan(self):
+        # random headers over pieces that stress comments and the bytes
+        # whose whitespace status differs between ASCII and Unicode
+        pieces = [b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"# c\r",
+                  b"# c\n", b"a#b", b"\x85", b"\xa0", b"7", b"12", b"x", b"\r\n"]
+        rng = np.random.default_rng(14)
+        lengths = rng.integers(0, 13, 100_000)
+        picks = rng.integers(0, len(pieces), (lengths.size, lengths.max()))
+        for length, row in zip(lengths, picks):
+            buf = b"P5" + b"".join(pieces[j] for j in row[:length])
+            try:
+                tokens, offset = _reference_tokens(buf[2:], 3)
+                want = tokens, offset + 2
+            except PgmError as exc:
+                want = str(exc)
+            try:
+                got = _read_tokens(buf)
+            except PgmError as exc:
+                got = str(exc)
+            assert got == want, buf
+
+    def test_8bit_raster_is_not_copied(self, tmp_path):
+        # the file is read once and viewed, not sliced into copies
+        p = tmp_path / "big.pgm"
+        write_pgm(p, np.zeros((2048, 2048), np.uint8), 255)
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            arr, _ = read_pgm(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.shape == (2048, 2048) and not arr.flags.writeable
+        assert peak <= 1.25 * size
 
     def test_rejects_non_numeric_header(self, tmp_path):
         p = tmp_path / "k.pgm"
