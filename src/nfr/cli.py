@@ -12,7 +12,9 @@ Images travel as binary PGM (8/16-bit) or as lossless float CSV (a
 major); PGM output is a rounded, clamped presentation copy, the CSV path is
 the authoritative one for numeric comparisons.  The CSV writer formats each
 level once: the nf filter's output has at most Q distinct values, written
-through the pixel-to-level index.  `denoise` and `segment` write a one-line
+through the pixel-to-level index.  The reader, likewise, parses each
+distinct token once per 256 KiB block when most of the block's tokens are
+repeats, and converts the whole block when they are not.  `denoise` and `segment` write a one-line
 JSON report (sorted keys) through one writer, `_write_report`, with the
 pixel count `n` and the level count `q` of the rearrangement the run
 filtered (null for the pixel-domain filters); only `segment` adds
@@ -28,8 +30,9 @@ without it, and a `bench --sizes` with no size or a size below 1, all
 checked before the input is read), 3 I/O or file-format error (among them
 a `denoise` or `segment` input that is not 2-D, checked before filtering),
 4 numeric precondition violation (among them a flag or a J value that is
-not finite, so a report never holds NaN or Infinity) or a computation too
-large for memory (`MemoryError`).
+not finite, so a report never holds NaN or Infinity, and a `compare`
+statistic that overflows) or a computation too large for memory
+(`MemoryError`).
 NFR_THREADS caps worker threads for the pixel-domain filter.
 """
 
@@ -37,6 +40,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import re
+import stat
 import sys
 import time
 
@@ -56,6 +63,8 @@ class FormatError(Exception):
 
 
 _CSV_BLOCK = 1 << 16  # lines per write of the float CSV body
+_READ_BLOCK = 1 << 18  # bytes per read of the float CSV body
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def _fmt(x: float) -> str:
@@ -89,18 +98,67 @@ def _write_rows(path, header: str, *columns):
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
 
 
+def _parse_tokens(tokens: list) -> np.ndarray:
+    """float64 values of number tokens (bytes), correctly rounded.
+
+    When most of the first 1024 tokens are repeats, each distinct token is
+    converted once and the values are gathered through its index.
+    """
+    head = tokens[:1024]
+    if 2 * len(set(head)) >= len(head):
+        return np.array(tokens, dtype=np.float64)
+    ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    return (np.array(list(ids), dtype=np.float64)
+            [np.fromiter(map(ids.__getitem__, tokens), np.intp, len(tokens))])
+
+
 def read_float_csv(path) -> Image:
-    # a text file decodes whole chunks, so even readline can raise
-    # UnicodeDecodeError (a ValueError) for bad bytes further down
-    with open(path) as fh:
-        try:
+    """Read a float CSV: the shape header, then whitespace-separated values.
+
+    The body is read in blocks that end at a line break, so no number or
+    comment straddles two blocks, and is parsed into one array of the
+    header's size (capped by what the file can hold).  Non-ASCII bytes must
+    be UTF-8 and may only appear in comments.
+    """
+    try:
+        with open(path, "rb") as fh:
             head = fh.readline()
+            stop = head.find(b"\r")  # a header ended by a bare \r
+            head, carry = (head, b"") if stop < 0 else (head[:stop], head[stop:])
+            head = head.decode()
             if not head.startswith("# shape:"):
                 raise FormatError(f"{path}: missing '# shape:' header line")
             shape = tuple(int(t) for t in head.split(":", 1)[1].split())
-            return Image(np.loadtxt(fh, dtype=np.float64, ndmin=1), shape)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+            # a value takes a byte and a separator, so a lying header allocates
+            # no more than the file can fill (a pipe has no size to go by)
+            st = os.fstat(fh.fileno())
+            room = (st.st_size - fh.tell() + len(carry) if stat.S_ISREG(st.st_mode)
+                    else math.inf)
+            out = np.empty(max(0, min(math.prod(shape), room // 2 + 1)))
+            n = 0
+            while True:
+                more = fh.read(_READ_BLOCK)
+                block = carry + more
+                cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if more else len(block)
+                block, carry = block[:cut], block[cut:]
+                if not block.isascii():
+                    block.decode()  # a line break never splits a UTF-8 character
+                if b"#" in block:
+                    block = _COMMENT.sub(b"", block)
+                if b"_" in block:  # float() would take 1_0 as 10
+                    raise ValueError("'_' in a number")
+                tokens = block.split()
+                if n + len(tokens) <= out.size:
+                    out[n:n + len(tokens)] = _parse_tokens(tokens)
+                n += len(tokens)
+                if not more:
+                    break
+            if n > out.size:
+                raise ValueError(f"data has {n} samples, shape {shape} "
+                                 f"wants {math.prod(shape)}")
+            return Image(out[:n], shape)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_image(path) -> tuple[Image, int]:
@@ -122,18 +180,30 @@ def _load_2d(path) -> tuple[Image, int]:
     return img, maxval
 
 
+def _report_params(args) -> dict:
+    """The parsed flags the report echoes; a flag that is not finite, such
+    as an unread `--p nan`, is a ValueError naming it.  The commands call
+    this after filtering, whose own checks name bad flags first, and before
+    writing any output."""
+    params = {key: v for key, v in vars(args).items()
+              if key not in ("func", "_argv") and v is not None}
+    for key, v in params.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {v}")
+    return params
+
+
 def _write_report(path, args, k, ticks, outputs, **fields):
     """Write the one-line JSON report of `denoise` or `segment`.
 
     ticks: the four perf_counter readings that open and close the read,
     filter and write phases.  fields: the command's own entries.  A value
-    that is not finite, such as an unread `--p nan`, is a ValueError raised
-    before the file is opened, so no report is left behind.
+    that is not finite is a ValueError raised before the file is opened, so
+    no report is left behind.
     """
     report = {
         "command": getattr(args, "_argv", []),
-        "params": {key: v for key, v in vars(args).items()
-                   if key not in ("func", "_argv") and v is not None},
+        "params": _report_params(args),
         **fields,
         "kernel_evaluations": k.evaluations,
         "timings_ms": dict(zip(("read", "filter", "write"),
@@ -190,6 +260,7 @@ def cmd_denoise(args) -> int:
                            window_radius=args.window)
         out = windowed(img, k, sp, iterations)
     ticks.append(time.perf_counter())
+    _report_params(args)  # a non-finite flag is refused before any output
 
     write_pgm(args.output, quantize(out.to_array(), maxval), maxval)
     outputs = [args.output]
@@ -212,6 +283,7 @@ def cmd_segment(args) -> int:
     k = make_kernel(args.kernel, args.h, args.p)
     seg, trace = segment_with_trace(img, _filter_config(args, k), args.merge_tol)
     ticks.append(time.perf_counter())
+    _report_params(args)  # a non-finite flag is refused before any output
 
     labels_path = f"{args.prefix}.labels.pgm"
     write_pgm(labels_path, seg.labels.reshape(seg.shape), 65535)
@@ -294,15 +366,19 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     a, _ = load_image(args.a)
     b, _ = load_image(args.b)
-    d = rmse(a, b)
-    sigma_noise = float(np.std(b.data - a.data))
-    sigma_a = float(np.std(a.data))
-    snr = snr_measure(a, b) if sigma_noise > 0.0 and sigma_a > 0.0 else None
-    payload = {
-        "rmse": d,
-        "snr": snr,
-        "max_abs_diff": float(np.max(np.abs(a.data - b.data))),
-    }
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        d = rmse(a, b)
+        sigma_noise = float(np.std(b.data - a.data))
+        sigma_a = float(np.std(a.data))
+        payload = {
+            "rmse": d,
+            "snr": snr_measure(a, b) if sigma_noise > 0.0 and sigma_a > 0.0 else None,
+            "max_abs_diff": float(np.max(np.abs(a.data - b.data))),
+        }
+    for key, v in payload.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{key} is not finite ({v}): the images' values "
+                             f"overflow float64 arithmetic")
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -2,8 +2,11 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ import pytest
 from nfr import (FilterConfig, Image, SpatialConfig, bilateral, decreasing_rearrangement,
                  direct_nf, make_kernel, nlm, read_pgm, segment, write_pgm)
 from nfr import synthetic
-from nfr.cli import _fmt, _write_rows, read_float_csv, write_float_csv
+from nfr.cli import (FormatError, _fmt, _write_rows, read_float_csv,
+                     write_float_csv)
 
 
 def run(*args, env=None):
@@ -261,6 +265,99 @@ WRITER_CASES = {
 }
 
 
+def loadtxt_reader(path) -> Image:
+    """The float CSV reader the block reader replaced, kept as the reference."""
+    with open(path) as fh:
+        try:
+            head = fh.readline()
+            if not head.startswith("# shape:"):
+                raise FormatError(f"{path}: missing '# shape:' header line")
+            shape = tuple(int(t) for t in head.split(":", 1)[1].split())
+            return Image(np.loadtxt(fh, dtype=np.float64, ndmin=1), shape)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_outcome(read, path):
+    """(shape, value bits) of a read, or None when it raises FormatError."""
+    try:
+        img = read(path)
+    except FormatError:
+        return None
+    return img.shape, img.data.view(np.int64).tolist()
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, -17.0, 1e16, 0.1]
+BAD_TOKENS = [b"1_0", b"0x10", b"1,2", b"1d5", b"nan", b"inf", b"-Infinity"]
+COMMENTS = [b"", b" note", b" 4 5", b" shape: 9", b"#", b" \xc3\xa9", b" \xff"]
+
+
+def random_csv(rng: random.Random) -> tuple[bytes, bool]:
+    """A float CSV drawn to probe the format: values on rows of c columns,
+    mixed separators and line ends, blank and comment lines, and, now and
+    then, a token, comment byte or header count that loadtxt refuses.
+    Returns the file and whether its body holds no value token."""
+    ends, spaces = [b"\n", b"\r\n", b"\r"], [b" ", b"\t", b"\x0b", b"\x0c", b" \t "]
+    cols = rng.choice([1, 1, 1, 2, 3])
+    rows = rng.randrange(8)
+    n = rows * cols
+    values = [rng.choice(EXTREMES) if rng.random() < 0.3
+              else rng.gauss(0.0, 1.0) * 10.0 ** rng.randrange(-300, 300) for _ in range(n)]
+    tokens = [f"{v:.17g}".encode() for v in values]
+    if n and rng.random() < 0.15:
+        tokens[rng.randrange(n)] = rng.choice(BAD_TOKENS)
+    count = n + (rng.choice([-1, 1]) if rng.random() < 0.1 else 0)
+    header = f"# shape: {count}" if cols == 1 or rng.random() < 0.5 else f"# shape: {rows} {cols}"
+    lines = [header.encode()]
+    for r in range(rows):
+        while rng.random() < 0.2:  # blank, space-only and comment lines
+            lines.append(rng.choice([b"", rng.choice(spaces), b"#" + rng.choice(COMMENTS[:-1])]))
+        row = (rng.choice(spaces + [b""])
+               + rng.choice(spaces).join(tokens[r * cols:(r + 1) * cols]))
+        if rng.random() < 0.2:  # an inline comment, rarely with a byte that is not UTF-8
+            row += rng.choice([b" #", b"#"]) + rng.choice(
+                COMMENTS[:-1] if rng.random() < 0.8 else COMMENTS)
+        lines.append(row + rng.choice(spaces + [b""] * 3))
+    body = b"".join(line + rng.choice(ends) for line in lines)
+    if rng.random() < 0.3:
+        body = body.rstrip(b"\r\n")
+    return body, n == 0
+
+
+def _tokens(lines, rng) -> bytes:
+    return b"".join(lines[i] for i in rng.integers(0, len(lines), 1 << 16))
+
+
+def _block_case(fill_to_edge=None, tail=b"", distinct=True, repeated=True):
+    """A body of about 3 * 256 KiB: distinct %.17g values (the np.array
+    arm) and/or lines drawn from four levels (the distinct-token arm)."""
+    rng = np.random.default_rng(9)
+    parts = []
+    if repeated:
+        parts.append(_tokens([b"0.25\n", b"-0.0\n", b"1e308\n", b"7\n"], rng))  # ~330 kB
+    if distinct:
+        parts.append(b"".join(f"{v:.17g}\n".encode() for v in rng.standard_normal(40_000)))
+    body = b"".join(parts)
+    if fill_to_edge is not None:  # `fill_to_edge` begins 5 bytes before 256 Ki
+        head = b"3\n" * ((1 << 17) - 3) + b"\n"
+        body = head + fill_to_edge + body
+    body += tail
+    n = len(body.split())
+    return f"# shape: {n}\n".encode() + body
+
+
+BLOCK_CASES = {
+    # name: (body, blocks parsed by the distinct-token arm)
+    "distinct": lambda: (_block_case(repeated=False), 0),
+    "repeated": lambda: (_block_case(distinct=False, tail=b"0.25\n" * 90_000), 3),
+    "mixed": lambda: (_block_case(), 2),
+    "straddling_token": lambda: (_block_case(fill_to_edge=b"12345.678901234567\n",
+                                             repeated=False), 1),
+    "no_final_newline": lambda: (_block_case(distinct=False, tail=b"12.5"), 2),
+    "one_block": lambda: (b"# shape: 131072\n" + b"5\n" * (1 << 17), 1),
+}
+
+
 class TestFloatCsv:
     @pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "plain"])
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
@@ -280,6 +377,89 @@ class TestFloatCsv:
         back = read_float_csv(path)
         assert back.shape == shape
         assert np.array_equal(back.data.view(np.int64), values.view(np.int64))
+
+    def test_matches_loadtxt(self, tmp_path):
+        # files are written a batch at a time: reading a file straight after
+        # truncating and rewriting it can wait for its blocks to reach disk
+        rng = random.Random(2024)
+        paths = [tmp_path / f"{i}.csv" for i in range(1000)]
+        refused = 0
+        for _ in range(20):
+            cases = [random_csv(rng) for _ in paths]
+            for path, (body, _) in zip(paths, cases):
+                path.write_bytes(body)
+            for path, (body, empty) in zip(paths, cases):
+                if empty:
+                    with pytest.warns(UserWarning, match="input contained no data"):
+                        expected = read_outcome(loadtxt_reader, path)
+                else:
+                    expected = read_outcome(loadtxt_reader, path)
+                assert read_outcome(read_float_csv, path) == expected, body
+                refused += expected is None
+        assert 2_000 < refused < 10_000  # both outcomes are well sampled
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_match_loadtxt(self, tmp_path, monkeypatch, case):
+        body, gathered = BLOCK_CASES[case]()
+        path = tmp_path / "x.csv"
+        path.write_bytes(body)
+        expected = read_outcome(loadtxt_reader, path)
+        calls = []
+        fromiter = np.fromiter  # called by the distinct-token arm only
+        monkeypatch.setattr(np, "fromiter", lambda *a: calls.append(1) or fromiter(*a))
+        assert expected is not None and read_outcome(read_float_csv, path) == expected
+        assert len(calls) == gathered
+
+    @pytest.mark.parametrize("body", [b"# shape: 3\n1 2\n3\n", b"# shape: 3\r1 2\r\n3"],
+                             ids=["lf", "cr"])
+    def test_ragged_rows_are_read(self, tmp_path, body):
+        # line breaks carry no meaning, so a row of two values is fine
+        path = tmp_path / "x.csv"
+        path.write_bytes(body)
+        assert read_outcome(loadtxt_reader, path) is None
+        assert read_float_csv(path).data.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("sep", [b"\xc2\xa0", b"\x1c", b"\x1f"],
+                             ids=["nbsp", "fs", "us"])
+    def test_non_ascii_whitespace_separator_is_3(self, tmp_path, sep, capsys):
+        import nfr.cli
+
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"# shape: 2\n1" + sep + b"2\n")
+        assert read_outcome(loadtxt_reader, path) is not None  # Unicode space
+        assert nfr.cli.main(["rearrange", "--input", str(path),
+                             "--prefix", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_reads_a_pipe(self, tmp_path):
+        # a named pipe has no size, so the header alone sizes the array
+        path = tmp_path / "x.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes,
+                                  args=(b"# shape: 3\n1\n2\n3\n",), daemon=True)
+        writer.start()
+        img = read_float_csv(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert img.data.tolist() == [1.0, 2.0, 3.0]
+
+    def test_peak_memory(self, tmp_path):
+        # one float64 array of the output plus a bounded block, not a list
+        # of all N tokens or a concatenation of per-block arrays
+        n = 1 << 20
+        rng = np.random.default_rng(3)
+        table = np.unique(rng.integers(0, 256, 250)) / 255.0
+        index = rng.integers(0, table.size, n)
+        path = tmp_path / "x.csv"
+        write_float_csv(path, Image(table[index], (1024, 1024)), table, index)
+        tracemalloc.start()
+        try:
+            img = read_float_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.data, table[index])
+        assert peak <= 1.5 * 8 * n
 
 
 class TestSegmentCommand:
@@ -365,6 +545,19 @@ class TestCompare:
         payload = json.loads(r.stdout)
         assert payload["rmse"] > 0
         assert payload["snr"] == pytest.approx(10.0, rel=0.35)
+
+
+    def test_overflowing_difference_is_4(self, tmp_path, capsys):
+        # the differences overflow to inf, which JSON cannot hold
+        import nfr.cli
+
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, values in zip(paths, ([1e308, -1e308], [-1e308, 1e308])):
+            write_float_csv(path, Image(np.array(values), (1, 2)))
+        assert nfr.cli.main(["compare", "--a", str(paths[0]), "--b", str(paths[1])]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: rmse is not finite (inf)")
 
 
 class TestExitCodes:
@@ -461,18 +654,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
 
-    @pytest.mark.parametrize("extra", [["--p", "nan"], ["--rho", "inf"]],
-                             ids=["gaussian-p", "nf-rho"])
-    def test_unread_non_finite_flag_is_4(self, tmp_path, squares_pgm, extra, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["denoise", "--output", "o.pgm", "--h", "25", "--p", "nan"],
+         "--p must be finite, got nan"),
+        (["denoise", "--output", "o.pgm", "--h", "25", "--rho", "inf"],
+         "--rho must be finite, got inf"),
+        (["segment", "--prefix", "seg", "--h", "25", "--p", "nan"],
+         "--p must be finite, got nan"),
+    ], ids=["gaussian-p", "nf-rho", "segment-p"])
+    def test_unread_non_finite_flag_is_4(self, tmp_path, squares_pgm, argv, message, capsys):
         # the filter never reads the flag, but the report would echo it as
-        # invalid JSON; the report is refused before its file is opened
+        # invalid JSON; it is refused before any output is written
         import nfr.cli
 
-        out = tmp_path / "o.pgm"
-        assert nfr.cli.main(["denoise", "--input", str(squares_pgm), "--output", str(out),
-                             "--h", "25", *extra]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.pgm", "squares.pgm"]
+        argv = [str(tmp_path / a) if a in ("seg", "o.pgm") else a for a in argv]
+        assert nfr.cli.main([*argv, "--input", str(squares_pgm)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["squares.pgm"]
 
     def test_non_2d_input_is_3_before_filtering(self, tmp_path, monkeypatch, capsys):
         # PGM output must be 2-D, so denoise and segment check the shape
