@@ -10,18 +10,21 @@
 Images travel as binary PGM (8/16-bit) or as lossless float CSV (a
 "# shape: ..." comment line followed by one %.17g value per line, row
 major); PGM output is a rounded, clamped presentation copy, the CSV path is
-the authoritative one for numeric comparisons.  The CSV writer formats each
-level once: the nf filter's output has at most Q distinct values, written
-through the pixel-to-level index.  The reader, likewise, parses each
-distinct token once per 256 KiB block when most of the block's tokens are
-repeats, and converts the whole block when they are not.  `denoise` and `segment` write a one-line
-JSON report (sorted keys) through one writer, `_write_report`, with the
-pixel count `n` and the level count `q` of the rearrangement the run
-filtered (null for the pixel-domain filters); only `segment` adds
-`region_count`.  `--max-iter` is every filter's one step
-count, at least 1 (nf and `segment` may stop earlier on `--tol`); `denoise`
-resolves its per-filter default first, so the report's `params.max_iter` is
-the one used.
+the authoritative one for numeric comparisons.  A PGM raster stays uint8
+or uint16 from the read to the level structure (see `rearrangement.Image`),
+and `segment` builds every region mask in one reused uint8 buffer.  The CSV
+writer formats each level once: the nf filter's output has at most Q
+distinct values, written through the pixel-to-level index.  The reader,
+likewise, parses each distinct token once per 256 KiB block when most of
+the block's tokens are repeats, and converts the whole block when they are
+not; a body on one line is cut at spaces.  `denoise` and `segment` write
+a one-line JSON report (sorted keys) through one writer, `_write_report`,
+with the pixel count `n` and the level count `q` of the rearrangement the
+run filtered (null for the pixel-domain filters); only `segment` adds
+`region_count`.  `--max-iter` is every filter's one step count, at least
+1 (nf and `segment` may stop earlier on `--tol`); `denoise` resolves its
+per-filter default first, so the report's `params.max_iter` is the one
+used.
 
 Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1, a
 `--patch` below 0, a `--window` below 1, a `denoise --output` that is not a
@@ -49,7 +52,7 @@ import time
 
 import numpy as np
 
-from .filter1d import FilterConfig, nf_step, iterate
+from .filter1d import FilterConfig, iterate
 from .kernels import make_kernel
 from .noise_metrics import NoiseSpec, add_gaussian_noise, rmse, snr_measure
 from .pgm import PgmError, quantize, read_pgm, write_pgm
@@ -115,10 +118,11 @@ def _parse_tokens(tokens: list) -> np.ndarray:
 def read_float_csv(path) -> Image:
     """Read a float CSV: the shape header, then whitespace-separated values.
 
-    The body is read in blocks that end at a line break, so no number or
-    comment straddles two blocks, and is parsed into one array of the
-    header's size (capped by what the file can hold).  Non-ASCII bytes must
-    be UTF-8 and may only appear in comments.
+    The body is read in blocks that end at a line break, or, in a block
+    with no line break and no comment, at its last space or tab, so no
+    number or comment straddles two blocks; it is parsed into one array of
+    the header's size (capped by what the file can hold).  Non-ASCII bytes
+    must be UTF-8 and may only appear in comments.
     """
     try:
         with open(path, "rb") as fh:
@@ -140,6 +144,8 @@ def read_float_csv(path) -> Image:
                 more = fh.read(_READ_BLOCK)
                 block = carry + more
                 cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if more else len(block)
+                if not cut and b"#" not in block:  # a body written on one line
+                    cut = max(block.rfind(b" "), block.rfind(b"\t")) + 1
                 block, carry = block[:cut], block[cut:]
                 if not block.isascii():
                     block.decode()  # a line break never splits a UTF-8 character
@@ -166,7 +172,7 @@ def load_image(path) -> tuple[Image, int]:
     p = str(path)
     if p.endswith(".pgm"):
         data, maxval = read_pgm(p)
-        return Image.from_array(data.astype(np.float64)), maxval
+        return Image.from_array(data), maxval
     if p.endswith(".csv"):
         return read_float_csv(p), 255
     raise FormatError(f"{p}: unknown image extension (want .pgm or .csv)")
@@ -286,11 +292,15 @@ def cmd_segment(args) -> int:
     _report_params(args)  # a non-finite flag is refused before any output
 
     labels_path = f"{args.prefix}.labels.pgm"
-    write_pgm(labels_path, seg.labels.reshape(seg.shape), 65535)
+    labels = seg.labels.reshape(seg.shape)
+    write_pgm(labels_path, labels, 65535)
     outputs = [labels_path]
+    mask = np.empty(seg.shape, dtype=np.uint8)  # one buffer for every region
     for i in range(seg.region_count):
         mask_path = f"{args.prefix}.region{i:03d}.pgm"
-        write_pgm(mask_path, seg.mask(i) * np.uint8(255), 255)
+        np.equal(labels, i, out=mask.view(bool))
+        mask *= 255
+        write_pgm(mask_path, mask, 255)
         outputs.append(mask_path)
     regions_path = f"{args.prefix}.regions.csv"
     _write_rows(regions_path, "label,value,mass", range(seg.region_count),
@@ -349,7 +359,8 @@ def cmd_bench(args) -> int:
         k = make_kernel(args.kernel, args.h, args.p)
 
         evals, ms = [], []
-        for run in (lambda: nf_step(rearr, rearr, k),
+        # one iterate step: the blocked pass that denoise runs, then J of its result
+        for run in (lambda: iterate(rearr, FilterConfig(k, max_iterations=1)),
                     lambda: direct_nf(img, k, 1, "varying")):
             k.reset_evaluations()
             t0 = time.perf_counter()

@@ -11,53 +11,70 @@ Filtering operates on the rearrangement; `reconstruct` maps new level values
 back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
 
-Grouping costs O(N + range) for integral images, whose levels are counted
-with one bincount over the offsets from the minimum (range < max(N, 65536)),
-and an O(N log N) sort for any other input.  `histogram` is the same level
-structure in ascending order.
+An 8- or 16-bit raster (every PGM) stays in its own dtype from the read to
+the level structure: its levels are counted on the raster itself, in slices
+into a table of 2^8 or 2^16 entries, with no float64 or intp copy of the
+image.  Any other integral image is counted with one bincount over the
+offsets from its minimum (O(N + range), range < max(N, 65536)), and any
+other input is sorted in O(N log N).  All three give bit-identical level
+structures for the same values.  `histogram` is the same level structure in
+ascending order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class Image:
-    """Flat float64 intensity array plus the grid shape.
+_RASTER_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 
-    `data` is stored flattened (C order); `shape` may have any number of
-    extents d >= 1.  Treat instances as immutable.
+
+class Image:
+    """Intensities on a grid of any dimension, flattened in C order.
+
+    `shape` may have any number of extents d >= 1.  An unsigned 8- or
+    16-bit array (a PGM raster) is kept as given in `raster`: integers are
+    always finite, and `decreasing_rearrangement` counts its levels on it.
+    Its float64 intensities `data` are then built once, on first access.
+    Any other input is converted to float64 `data` at once and must be
+    finite; its `raster` is None.  Treat instances as immutable.
     """
 
-    data: np.ndarray
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64).ravel()
-        shape = tuple(int(s) for s in self.shape)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "shape", shape)
-        if len(shape) < 1 or any(s <= 0 for s in shape):
+    def __init__(self, data, shape):
+        a = np.asarray(data)
+        self.shape = tuple(int(s) for s in shape)
+        if len(self.shape) < 1 or any(s <= 0 for s in self.shape):
             raise ValueError("shape must have positive extents")
-        if data.size != int(np.prod(shape)):
+        if a.size != math.prod(self.shape):
             raise ValueError(
-                f"data has {data.size} samples, shape {shape} wants {int(np.prod(shape))}"
+                f"data has {a.size} samples, shape {self.shape} wants {math.prod(self.shape)}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("intensities must be finite")
+        if a.dtype in _RASTER_DTYPES:
+            self.raster = a.ravel()
+        else:
+            self.raster = None
+            self.data = np.asarray(a, dtype=np.float64).ravel()
+            if not np.all(np.isfinite(self.data)):
+                raise ValueError("intensities must be finite")
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """Flat float64 intensities (of a raster: converted on first access)."""
+        return self.raster.astype(np.float64)
 
     @property
     def n(self) -> int:
         """Total measure (pixel count)."""
-        return self.data.size
+        return math.prod(self.shape)
 
     @classmethod
     def from_array(cls, arr) -> "Image":
-        a = np.asarray(arr, dtype=np.float64)
-        return cls(a.ravel(), a.shape)
+        a = np.asarray(arr)
+        return cls(a, a.shape)
 
     def to_array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
@@ -152,6 +169,34 @@ def distribution_function(img: Image, q: float) -> int:
     return int(np.count_nonzero(img.data > q))
 
 
+_COUNT_SLICE = 1 << 16  # raster elements per bincount, whose intp cast is 512 KiB
+
+
+def _levels(counts: np.ndarray, codes: np.ndarray, lo):
+    """(values, masses, pixel_level) of integer codes with these counts.
+
+    The present codes, in descending order, give the levels lo + code, and
+    a lookup table from code to level index gives every pixel's level.
+    """
+    present = np.flatnonzero(counts)[::-1]
+    lut = np.empty(counts.size, dtype=np.intp)
+    lut[present] = np.arange(present.size)
+    return present + lo, counts[present], lut[codes]
+
+
+def _raster_levels(r: np.ndarray):
+    """(values, masses, pixel_level) of a uint8/uint16 raster by counting.
+
+    The counts go into a table of 2^8 or 2^16 entries, one bincount per
+    slice of _COUNT_SLICE elements, so no intp copy of the raster is made.
+    Levels are code + 0.0, as the float copy of the raster would give.
+    """
+    counts = np.zeros(1 << (8 * r.itemsize), dtype=np.intp)
+    for a in range(0, r.size, _COUNT_SLICE):
+        counts += np.bincount(r[a:a + _COUNT_SLICE], minlength=counts.size)
+    return _levels(counts, r, 0.0)
+
+
 def _integer_levels(x: np.ndarray):
     """(values, masses, pixel_level) of x by counting, or None.
 
@@ -166,11 +211,7 @@ def _integer_levels(x: np.ndarray):
     ints = (x - lo).astype(np.intp)
     if not np.array_equal(ints + lo, x):
         return None
-    counts = np.bincount(ints)
-    present = np.flatnonzero(counts)[::-1]
-    lut = np.empty(counts.size, dtype=np.intp)
-    lut[present] = np.arange(present.size)
-    return present + lo, counts[present], lut[ints]
+    return _levels(np.bincount(ints), ints, lo)
 
 
 def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]:
@@ -178,11 +219,14 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
 
     Returns the rearrangement (values with real masses, ready for the 1-D
     filter) and the level structure (integer masses plus the per-pixel level
-    index needed to reconstruct images).  Integral images (every PGM) are
-    grouped by counting in O(N + range); any other input is sorted by
-    np.unique in O(N log N).
+    index needed to reconstruct images).  A raster (8/16-bit input, every
+    PGM) is counted on its own integers in O(N); any other integral image in
+    O(N + range); any other input is sorted by np.unique in O(N log N).
     """
-    found = _integer_levels(img.data)
+    if img.raster is not None:
+        found = _raster_levels(img.raster)
+    else:
+        found = _integer_levels(img.data)
     if found is None:
         vals_asc, inverse, counts = np.unique(
             img.data, return_inverse=True, return_counts=True

@@ -23,7 +23,8 @@ class Segmentation:
     """Per-pixel region labels plus representative region values.
 
     Labels index `region_values`, which is strictly descending; label 0 is
-    the brightest region.
+    the brightest region.  They are uint16 for at most 65536 regions, else
+    intp.
     """
 
     labels: np.ndarray
@@ -77,7 +78,9 @@ def segment_with_trace(img: Image, cfg: FilterConfig, merge_tol: float = 1e-3
     region_of_level, region_values, region_masses = _group_levels(
         final.values, final.masses, merge_tol * dyn
     )
-    labels = region_of_level[levels.pixel_level]
+    # uint16 labels when they fit: the labels PGM is 16-bit anyway
+    dtype = np.uint16 if region_values.size <= 1 << 16 else np.intp
+    labels = region_of_level.astype(dtype)[levels.pixel_level]
     seg = Segmentation(labels, img.shape, region_values, region_masses)
     return seg, trace
 
