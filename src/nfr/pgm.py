@@ -75,7 +75,8 @@ def write_pgm(path, array, maxval: int = 255):
         raise PgmError("PGM wants a 2-D array")
     if not 0 < int(maxval) < 65536:
         raise PgmError("maxval must be in [1, 65535]")
-    if np.any(a < 0) or np.any(a > maxval):
+    dtype_in_range = a.dtype.kind == "u" and np.iinfo(a.dtype).max <= int(maxval)
+    if not dtype_in_range and (np.any(a < 0) or np.any(a > maxval)):
         raise PgmError("samples outside [0, maxval]")
     if a.dtype.kind == "f" and not np.all(a == np.rint(a)):
         raise PgmError("non-integral samples; quantize first")

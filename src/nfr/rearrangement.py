@@ -11,14 +11,14 @@ Filtering operates on the rearrangement; `reconstruct` maps new level values
 back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
 
-An 8- or 16-bit raster (every PGM) stays in its own dtype from the read to
-the level structure: its levels are counted on the raster itself, in slices
-into a table of 2^8 or 2^16 entries, with no float64 or intp copy of the
-image.  Any other integral image is counted with one bincount over the
-offsets from its minimum (O(N + range), range < max(N, 65536)), and any
-other input is sorted in O(N log N).  All three give bit-identical level
-structures for the same values.  `histogram` is the same level structure in
-ascending order.
+Levels are grouped in one of two ways.  Integer codes are counted: an 8-
+or 16-bit raster (every PGM) is counted on its own integers, with no
+float64 or intp copy of the image, and any other image whose values are its
+minimum lo plus integers below 2^16 (checked exactly over all N values) on
+the uint16 offsets x - lo, both in O(N) by np.bincount over slices.  Any
+other input, an integral one of range 2^16 or more included, is sorted in
+O(N log N).  The two give bit-identical level structures for the same
+values.  `histogram` is the same level structure in ascending order.
 """
 
 from __future__ import annotations
@@ -169,49 +169,7 @@ def distribution_function(img: Image, q: float) -> int:
     return int(np.count_nonzero(img.data > q))
 
 
-_COUNT_SLICE = 1 << 16  # raster elements per bincount, whose intp cast is 512 KiB
-
-
-def _levels(counts: np.ndarray, codes: np.ndarray, lo):
-    """(values, masses, pixel_level) of integer codes with these counts.
-
-    The present codes, in descending order, give the levels lo + code, and
-    a lookup table from code to level index gives every pixel's level.
-    """
-    present = np.flatnonzero(counts)[::-1]
-    lut = np.empty(counts.size, dtype=np.intp)
-    lut[present] = np.arange(present.size)
-    return present + lo, counts[present], lut[codes]
-
-
-def _raster_levels(r: np.ndarray):
-    """(values, masses, pixel_level) of a uint8/uint16 raster by counting.
-
-    The counts go into a table of 2^8 or 2^16 entries, one bincount per
-    slice of _COUNT_SLICE elements, so no intp copy of the raster is made.
-    Levels are code + 0.0, as the float copy of the raster would give.
-    """
-    counts = np.zeros(1 << (8 * r.itemsize), dtype=np.intp)
-    for a in range(0, r.size, _COUNT_SLICE):
-        counts += np.bincount(r[a:a + _COUNT_SLICE], minlength=counts.size)
-    return _levels(counts, r, 0.0)
-
-
-def _integer_levels(x: np.ndarray):
-    """(values, masses, pixel_level) of x by counting, or None.
-
-    Applies when every value is the minimum lo plus an integer offset below
-    max(N, 65536), checked exactly over all N values: one bincount over the
-    offsets and a lookup table from offset to level index replace the sort.
-    Levels are lo + offset, so a level at zero gets the value +0.0.
-    """
-    lo = x.min()
-    if not x.max() < lo + max(x.size, 65536):  # no overflow at +-1e308
-        return None
-    ints = (x - lo).astype(np.intp)
-    if not np.array_equal(ints + lo, x):
-        return None
-    return _levels(np.bincount(ints), ints, lo)
+_COUNT_SLICE = 1 << 16  # codes per bincount, whose intp cast is 512 KiB
 
 
 def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]:
@@ -219,23 +177,46 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
 
     Returns the rearrangement (values with real masses, ready for the 1-D
     filter) and the level structure (integer masses plus the per-pixel level
-    index needed to reconstruct images).  A raster (8/16-bit input, every
-    PGM) is counted on its own integers in O(N); any other integral image in
-    O(N + range); any other input is sorted by np.unique in O(N log N).
+    index needed to reconstruct images).  Two groupings:
+
+    - count, in O(N): a raster's own integers (8/16-bit input, every PGM)
+      into a table of 2^8 or 2^16 entries, or the uint16 offsets x - lo of
+      an image whose values are its minimum lo plus integers below 2^16
+      into a table of hi - lo + 1 entries;
+    - sort, in O(N log N): any other input, by np.unique.
+
+    Each yields ascending code values, their counts and every pixel's code.
+    The present codes in descending order are the levels, and a lookup
+    table from code to level index gives pixel_level.  A counted level at
+    zero is +0.0.
     """
-    if img.raster is not None:
-        found = _raster_levels(img.raster)
+    codes, lo = img.raster, 0.0
+    if codes is not None:
+        size = 1 << (8 * codes.itemsize)
     else:
-        found = _integer_levels(img.data)
-    if found is None:
-        vals_asc, inverse, counts = np.unique(
+        x = img.data
+        lo = float(x.min())
+        span = float(x.max()) - lo  # a Python float: inf, not a warning, at +-1e308
+        if span < 65536:
+            size = int(span) + 1  # the largest offset, as rounding is monotone
+            codes = (x - lo).astype(np.uint16)
+            if not np.array_equal(codes + lo, x):
+                codes = None
+    if codes is not None:
+        counts = np.zeros(size, dtype=np.intp)
+        for a in range(0, codes.size, _COUNT_SLICE):
+            counts += np.bincount(codes[a:a + _COUNT_SLICE], minlength=size)
+        code_values = np.arange(size) + lo
+    else:
+        code_values, codes, counts = np.unique(
             img.data, return_inverse=True, return_counts=True
         )
-        found = (vals_asc[::-1].copy(), counts[::-1].copy(),
-                 (vals_asc.size - 1) - inverse.ravel())
-    values, masses, pixel_level = found
+    present = np.flatnonzero(counts)[::-1]
+    lut = np.empty(counts.size, dtype=np.intp)
+    lut[present] = np.arange(present.size)
+    values, masses = code_values[present], counts[present]
     rearr = Rearrangement(values, masses.astype(np.float64))
-    levels = LevelStructure(values.copy(), masses, pixel_level, img.shape)
+    levels = LevelStructure(values.copy(), masses, lut[codes], img.shape)
     return rearr, levels
 
 

@@ -81,6 +81,14 @@ class TestRoundtrip:
         back, _ = read_pgm(p)
         assert np.array_equal(back, arr)
 
+    @pytest.mark.parametrize("dtype, maxval", [(np.uint8, 255), (np.uint16, 65535)])
+    def test_full_range_dtype_same_bytes(self, tmp_path, dtype, maxval):
+        # the range checks are skipped for these dtypes; the file is the same
+        arr = np.array([[0, 1, maxval // 2], [maxval - 1, maxval, 7]])
+        write_pgm(tmp_path / "a.pgm", arr.astype(dtype), maxval)
+        write_pgm(tmp_path / "b.pgm", arr, maxval)
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
     def test_integral_floats_accepted(self, tmp_path):
         p = tmp_path / "e.pgm"
         write_pgm(p, np.array([[1.0, 2.0]]), 255)
@@ -184,6 +192,12 @@ class TestWriteValidation:
             write_pgm(tmp_path / "x.pgm", np.array([[300]]), 255)
         with pytest.raises(PgmError):
             write_pgm(tmp_path / "x.pgm", np.array([[-1]]), 255)
+
+    @pytest.mark.parametrize("dtype, value, maxval", [
+        (np.uint16, 5000, 4095), (np.uint8, 200, 100)])
+    def test_rejects_out_of_range_unsigned(self, tmp_path, dtype, value, maxval):
+        with pytest.raises(PgmError, match="outside"):
+            write_pgm(tmp_path / "x.pgm", np.array([[0, value]], dtype=dtype), maxval)
 
     def test_rejects_non_integral_floats(self, tmp_path):
         with pytest.raises(PgmError):

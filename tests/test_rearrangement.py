@@ -115,6 +115,8 @@ PARITY_CASES = {
     "extreme_range": lambda: np.array([[-1e308, 1e308, 0.0]]),
     "non_integral": lambda: random_quantized(23, levels=64, scale=1.0).to_array() + 0.5,
     "signed_zero": lambda: np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -2.0]]),
+    "range_65535": lambda: np.array([[-1000.0, 64535.0], [7.0, -1000.0]]),  # counted
+    "range_65536": lambda: np.array([[-1000.0, 64536.0], [7.0, -1000.0]]),  # sorted
 }
 
 
@@ -150,9 +152,17 @@ class TestLevelParity:
         monkeypatch.setattr(np, "unique", counting)
         decreasing_rearrangement(random_quantized(24, size=64, levels=256, scale=1.0))
         assert calls == []
+        # the float64 copy of a uint16 raster holding 0 and 65535
+        decreasing_rearrangement(Image.from_array(_sixteen_bit_sparse()))
+        assert calls == []
         decreasing_rearrangement(Image.from_array(
             np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
         assert calls == [64 * 64]
+        # range 2^16 or more: sorted, whatever N
+        wide = np.random.Generator(np.random.PCG64(25)).integers(0, 70000, (300, 300))
+        wide[0, :2] = 0, 70000
+        decreasing_rearrangement(Image.from_array(wide.astype(np.float64)))
+        assert calls == [64 * 64, 300 * 300]
 
 
 class TestReconstruct:
