@@ -1,7 +1,7 @@
 """Batch command-line frontend.
 
     nfr rearrange --input in.pgm --prefix out
-    nfr denoise   --input in.{pgm,csv} --output out.pgm --filter nf --h 25 ...
+    nfr denoise   --input in.{pgm,csv} [--output out.pgm] [--csv out.csv] --h 25 ...
     nfr segment   --input in.{pgm,csv} --prefix out --h 25 ...
     nfr noise     --input in.{pgm,csv} --output noisy.csv --snr 10 --seed 7
     nfr bench     --sizes 64,128,256 --q 256 --h 20 --output bench.csv
@@ -10,32 +10,39 @@
 Images travel as binary PGM (8/16-bit) or as lossless float CSV (a
 "# shape: ..." comment line followed by one %.17g value per line, row
 major); PGM output is a rounded, clamped presentation copy, the CSV path is
-the authoritative one for numeric comparisons.  A PGM raster stays uint8
-or uint16 from the read to the level structure (see `rearrangement.Image`),
-and `segment` builds every region mask in one reused uint8 buffer.  The CSV
-writer formats each level once: the nf filter's output has at most Q
-distinct values, written through the pixel-to-level index.  The reader,
-likewise, parses each distinct token once per 256 KiB block when most of
-the block's tokens are repeats, and converts the whole block when they are
-not; a body on one line is cut at spaces.  `denoise` and `segment` write
-a one-line JSON report (sorted keys) through one writer, `_write_report`,
-with the pixel count `n` and the level count `q` of the rearrangement the
-run filtered (null for the pixel-domain filters); only `segment` adds
-`region_count`.  `--max-iter` is every filter's one step count, at least
-1 (nf and `segment` may stop earlier on `--tol`); `denoise` resolves its
+the authoritative one for numeric comparisons.  `denoise` writes the PGM
+copy (`--output`, 2-D images only; it warns on stderr when the clamp
+changed pixels), the CSV (`--csv`, any dimension) or both.  A PGM raster
+stays uint8 or uint16 from the read to the level structure (see
+`rearrangement.Image`), and `segment` builds every region mask in one
+reused uint8 buffer.  The CSV writer formats each level once: the nf
+filter's output has at most Q distinct values, written through the
+pixel-to-level index.  The reader, likewise, names each token of a file
+whose first block is mostly repeats by a uint16 code and converts each
+distinct token once: the image is those codes and their value table,
+counted like a raster with no float64 copy and no sort.  A file whose
+first block is mostly distinct, or which passes 2^16 distinct tokens, is
+converted a block at a time; a body on one line is cut at spaces.
+`denoise` and `segment` write a one-line JSON report (sorted keys)
+through one writer, `_write_report`, with the pixel count `n` and the
+level count `q` of the rearrangement the run filtered (null for the
+pixel-domain filters); only `segment` adds `region_count`.
+`--max-iter` is every filter's one step count, at least 1 (nf and
+`segment` may stop earlier on `--tol`); `denoise` resolves its
 per-filter default first, so the report's `params.max_iter` is the one
 used.
 
 Exit codes: 0 success, 2 usage error (among them a `--max-iter` below 1, a
-`--patch` below 0, a `--window` below 1, a `denoise --output` that is not a
-.pgm path, a `noise --output` that is not .pgm with `--clamp` or .csv
-without it, and a `bench --sizes` with no size or a size below 1, all
-checked before the input is read), 3 I/O or file-format error (among them
-a `denoise` or `segment` input that is not 2-D, checked before filtering),
-4 numeric precondition violation (among them a flag or a J value that is
-not finite, so a report never holds NaN or Infinity, and a `compare`
-statistic that overflows) or a computation too large for memory
-(`MemoryError`).
+`--patch` below 0, a `--window` below 1, a `denoise` with neither
+`--output` nor `--csv` or with an `--output` that is not a .pgm path, a
+`noise --output` that is not .pgm with `--clamp` or .csv without it, and
+a `bench --sizes` with no size or a size below 1, all checked before the
+input is read), 3 I/O or file-format error (among them a `segment` input,
+or a `denoise` input with `--output` or a windowed filter, that is not
+2-D, checked before filtering), 4 numeric precondition violation (among
+them a flag or a J value that is not finite, so a report never holds NaN
+or Infinity, and a `compare` statistic that overflows) or a computation
+too large for memory (`MemoryError`).
 NFR_THREADS caps worker threads for the pixel-domain filter.
 """
 
@@ -65,8 +72,9 @@ class FormatError(Exception):
     """Unreadable or malformed input file (exit code 3)."""
 
 
-_CSV_BLOCK = 1 << 16  # lines per write of the float CSV body
+_CSV_BLOCK = 1 << 16  # lines per write of the float CSV body; codes per remap
 _READ_BLOCK = 1 << 18  # bytes per read of the float CSV body
+_MAX_CODES = 1 << 16  # distinct tokens that uint16 codes can name
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 
@@ -101,18 +109,20 @@ def _write_rows(path, header: str, *columns):
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
 
 
-def _parse_tokens(tokens: list) -> np.ndarray:
-    """float64 values of number tokens (bytes), correctly rounded.
+class _TokenCodes(dict):
+    """Number tokens (bytes) -> uint16 codes, numbered in the order first
+    seen; looking up a new token past the 2^16th is an OverflowError."""
 
-    When most of the first 1024 tokens are repeats, each distinct token is
-    converted once and the values are gathered through its index.
-    """
-    head = tokens[:1024]
-    if 2 * len(set(head)) >= len(head):
-        return np.array(tokens, dtype=np.float64)
-    ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-    return (np.array(list(ids), dtype=np.float64)
-            [np.fromiter(map(ids.__getitem__, tokens), np.intp, len(tokens))])
+    def __missing__(self, token):
+        if len(self) == _MAX_CODES:
+            raise OverflowError(f"more than {_MAX_CODES} distinct tokens")
+        code = self[token] = len(self)
+        return code
+
+
+def _token_values(ids: dict) -> np.ndarray:
+    """float64 values of the number tokens (bytes) in `ids`, in its order."""
+    return np.array(list(ids), dtype=np.float64)
 
 
 def read_float_csv(path) -> Image:
@@ -123,6 +133,16 @@ def read_float_csv(path) -> Image:
     number or comment straddles two blocks; it is parsed into one array of
     the header's size (capped by what the file can hold).  Non-ASCII bytes
     must be UTF-8 and may only appear in comments.
+
+    The first block with values sets the mode.  When at least half of its
+    first 1024 tokens are repeats, every token is named by a uint16 code
+    from one dict of the file's distinct tokens, and each distinct token is
+    converted once at the end: the image is then the codes and the table
+    of their ascending values (see `Image`).  Otherwise, and from the point
+    where a file passes 2^16 distinct tokens, blocks are converted to
+    float64 whole.  A file holding both -0 and 0 is returned as float64
+    values, which a table of distinct values could not keep apart, and so
+    is one holding nan or inf, which `Image` then refuses.
     """
     try:
         with open(path, "rb") as fh:
@@ -138,7 +158,9 @@ def read_float_csv(path) -> Image:
             st = os.fstat(fh.fileno())
             room = (st.st_size - fh.tell() + len(carry) if stat.S_ISREG(st.st_mode)
                     else math.inf)
-            out = np.empty(max(0, min(math.prod(shape), room // 2 + 1)))
+            size = max(0, min(math.prod(shape), room // 2 + 1))
+            out = codes = None
+            ids = _TokenCodes()
             n = 0
             while True:
                 more = fh.read(_READ_BLOCK)
@@ -154,15 +176,41 @@ def read_float_csv(path) -> Image:
                 if b"_" in block:  # float() would take 1_0 as 10
                     raise ValueError("'_' in a number")
                 tokens = block.split()
-                if n + len(tokens) <= out.size:
-                    out[n:n + len(tokens)] = _parse_tokens(tokens)
-                n += len(tokens)
+                if out is None and codes is None and tokens:
+                    first = tokens[:1024]
+                    if 2 * len(set(first)) < len(first):
+                        codes = np.empty(size, dtype=np.uint16)
+                    else:
+                        out = np.empty(size)
+                end = n + len(tokens)
+                if codes is not None and end <= size:
+                    try:
+                        codes[n:end] = np.fromiter(map(ids.__getitem__, tokens),
+                                                   np.uint16, len(tokens))
+                    except OverflowError:  # more distinct tokens than codes
+                        out = np.empty(size)
+                        out[:n] = _token_values(ids)[codes[:n]]
+                        codes = None
+                if out is not None and end <= size:
+                    out[n:end] = np.array(tokens, dtype=np.float64)
+                n, tokens = end, None  # no two blocks' tokens are held at once
                 if not more:
                     break
-            if n > out.size:
+            if n > size:
                 raise ValueError(f"data has {n} samples, shape {shape} "
                                  f"wants {math.prod(shape)}")
-            return Image(out[:n], shape)
+            if codes is None:
+                return Image(np.empty(0) if out is None else out[:n], shape)
+            values, codes = _token_values(ids), codes[:n]
+            zeros = np.signbit(values[values == 0.0])
+            if not np.all(np.isfinite(values)) or (zeros.any() and not zeros.all()):
+                return Image(values[codes], shape)
+            table, remap = np.unique(values, return_inverse=True)
+            remap = remap.astype(np.uint16)
+            for a in range(0, n, _CSV_BLOCK):  # in place: no N-sized temporary
+                part = codes[a:a + _CSV_BLOCK]
+                part[:] = remap[part]
+            return Image(codes, shape, table)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -178,12 +226,10 @@ def load_image(path) -> tuple[Image, int]:
     raise FormatError(f"{p}: unknown image extension (want .pgm or .csv)")
 
 
-def _load_2d(path) -> tuple[Image, int]:
-    """`load_image` for the commands that write PGM, which must be 2-D."""
-    img, maxval = load_image(path)
+def _require_2d(img: Image, path, what="PGM output"):
+    """Refuse an image that is not 2-D (exit 3), before any filtering."""
     if len(img.shape) != 2:
-        raise FormatError(f"{path}: PGM output needs a 2-D image, got shape {img.shape}")
-    return img, maxval
+        raise FormatError(f"{path}: {what} needs a 2-D image, got shape {img.shape}")
 
 
 def _report_params(args) -> dict:
@@ -241,8 +287,15 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    if args.output is None and args.csv is None:
+        print("error: denoise needs --output, --csv or both", file=sys.stderr)
+        return 2
     ticks = [time.perf_counter()]
-    img, maxval = _load_2d(args.input)
+    img, maxval = load_image(args.input)
+    if args.output is not None:
+        _require_2d(img, args.input)
+    elif args.filter in ("bilateral", "nlm"):
+        _require_2d(img, args.input, args.filter)
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
@@ -268,14 +321,23 @@ def cmd_denoise(args) -> int:
     ticks.append(time.perf_counter())
     _report_params(args)  # a non-finite flag is refused before any output
 
-    write_pgm(args.output, quantize(out.to_array(), maxval), maxval)
-    outputs = [args.output]
-    if args.csv:
+    outputs = []
+    if args.output is not None:
+        pixels = np.rint(out.to_array())
+        clamped = int(np.count_nonzero((pixels < 0) | (pixels > maxval)))
+        if clamped:
+            keep = ("the --csv output keeps them" if args.csv is not None
+                    else "write --csv to keep them")
+            print(f"warning: {args.output}: {clamped} of {out.n} pixels clamped "
+                  f"to [0, {maxval}]; {keep}", file=sys.stderr)
+        write_pgm(args.output, quantize(pixels, maxval), maxval)
+        outputs.append(args.output)
+    if args.csv is not None:
         write_float_csv(args.csv, out, table, index)
         outputs.append(args.csv)
     ticks.append(time.perf_counter())
 
-    _write_report(args.report or f"{args.output}.report.jsonl", args, k, ticks,
+    _write_report(args.report or f"{outputs[0]}.report.jsonl", args, k, ticks,
                   outputs, n=img.n, q=q, iterations=iterations,
                   stop_reason=stop_reason, j_trace=j_trace)
     return 0
@@ -283,7 +345,8 @@ def cmd_denoise(args) -> int:
 
 def cmd_segment(args) -> int:
     ticks = [time.perf_counter()]
-    img, _ = _load_2d(args.input)
+    img, _ = load_image(args.input)
+    _require_2d(img, args.input)
     ticks.append(time.perf_counter())
 
     k = make_kernel(args.kernel, args.h, args.p)
@@ -453,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="run a filter over an image")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True,
+    p.add_argument("--output", default=None,
                    type=_path_with_suffix(".pgm", hint="use --csv for lossless float output"),
-                   help="output PGM path")
+                   help="output PGM path (2-D images; --output, --csv or both)")
     p.add_argument("--filter", choices=("nf", "nf-direct", "bilateral", "nlm"),
                    default="nf")
     _add_filter_flags(p)
@@ -465,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nlm patch radius")
     p.add_argument("--window", type=_int_at_least(1), default=None,
                    help="window radius (bilateral default ceil(3*rho), nlm 10)")
-    p.add_argument("--csv", default=None, help="also dump lossless float CSV")
+    p.add_argument("--csv", default=None,
+                   help="lossless float CSV output path (any dimension)")
     p.set_defaults(func=cmd_denoise, max_iter=None)
 
     p = sub.add_parser("segment", help="filter to convergence, emit regions")

@@ -12,13 +12,16 @@ back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
 
 Levels are grouped in one of two ways.  Integer codes are counted: an 8-
-or 16-bit raster (every PGM) is counted on its own integers, with no
-float64 or intp copy of the image, and any other image whose values are its
-minimum lo plus integers below 2^16 (checked exactly over all N values) on
-the uint16 offsets x - lo, both in O(N) by np.bincount over slices.  Any
-other input, an integral one of range 2^16 or more included, is sorted in
-O(N log N).  The two give bit-identical level structures for the same
-values.  `histogram` is the same level structure in ascending order.
+or 16-bit raster is counted on its own integers, with no float64 or intp
+copy of the image.  Its codes stand for themselves (every PGM) or for the
+entries of a value table (a float CSV with few distinct tokens, whose
+reader already named each token by a code).  Any other image whose values
+are its minimum lo plus integers below 2^16 (checked exactly over all N
+values) is counted on the uint16 offsets x - lo.  Counting is O(N), by
+np.bincount over slices.  Any other input, an integral one of range 2^16
+or more included, is sorted in O(N log N).  All give bit-identical level
+structures for the same values, and a level at zero is +0.0 on every
+path.  `histogram` is the same level structure in ascending order.
 """
 
 from __future__ import annotations
@@ -37,14 +40,18 @@ class Image:
     """Intensities on a grid of any dimension, flattened in C order.
 
     `shape` may have any number of extents d >= 1.  An unsigned 8- or
-    16-bit array (a PGM raster) is kept as given in `raster`: integers are
-    always finite, and `decreasing_rearrangement` counts its levels on it.
-    Its float64 intensities `data` are then built once, on first access.
-    Any other input is converted to float64 `data` at once and must be
-    finite; its `raster` is None.  Treat instances as immutable.
+    16-bit array is kept as given in `raster`, and
+    `decreasing_rearrangement` counts its levels on it.  With no `table`
+    (a PGM raster) code c stands for the value c.  With a `table` (an
+    ascending, strictly increasing, finite float64 array with an entry for
+    every code; the float CSV reader builds one) code c stands for
+    table[c].  The float64 intensities `data` of a raster are built once,
+    on first access.  Any other input is converted to float64 `data` at
+    once and must be finite; its `raster` and `table` are None.  Treat
+    instances as immutable.
     """
 
-    def __init__(self, data, shape):
+    def __init__(self, data, shape, table=None):
         a = np.asarray(data)
         self.shape = tuple(int(s) for s in shape)
         if len(self.shape) < 1 or any(s <= 0 for s in self.shape):
@@ -53,18 +60,31 @@ class Image:
             raise ValueError(
                 f"data has {a.size} samples, shape {self.shape} wants {math.prod(self.shape)}"
             )
+        self.raster = self.table = None
         if a.dtype in _RASTER_DTYPES:
             self.raster = a.ravel()
+            if table is not None:
+                t = np.asarray(table, dtype=np.float64)
+                if (t.ndim != 1 or not np.all(np.isfinite(t))
+                        or np.any(t[1:] <= t[:-1])):
+                    raise ValueError("a value table must be finite and strictly increasing")
+                if int(self.raster.max()) >= t.size:
+                    raise ValueError(f"codes reach {int(self.raster.max())}, "
+                                     f"the value table has {t.size} entries")
+                self.table = t
+        elif table is not None:
+            raise ValueError("a value table needs 8- or 16-bit codes")
         else:
-            self.raster = None
             self.data = np.asarray(a, dtype=np.float64).ravel()
             if not np.all(np.isfinite(self.data)):
                 raise ValueError("intensities must be finite")
 
     @cached_property
     def data(self) -> np.ndarray:
-        """Flat float64 intensities (of a raster: converted on first access)."""
-        return self.raster.astype(np.float64)
+        """Flat float64 intensities (of a raster: built on first access)."""
+        if self.table is None:
+            return self.raster.astype(np.float64)
+        return self.table[self.raster]
 
     @property
     def n(self) -> int:
@@ -179,20 +199,20 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     filter) and the level structure (integer masses plus the per-pixel level
     index needed to reconstruct images).  Two groupings:
 
-    - count, in O(N): a raster's own integers (8/16-bit input, every PGM)
-      into a table of 2^8 or 2^16 entries, or the uint16 offsets x - lo of
-      an image whose values are its minimum lo plus integers below 2^16
-      into a table of hi - lo + 1 entries;
+    - count, in O(N): a raster's own codes (8/16-bit input) into 2^8 or
+      2^16 bins, or into one bin per entry of its value table, or the
+      uint16 offsets x - lo of an image whose values are its minimum lo
+      plus integers below 2^16 into hi - lo + 1 bins;
     - sort, in O(N log N): any other input, by np.unique.
 
     Each yields ascending code values, their counts and every pixel's code.
     The present codes in descending order are the levels, and a lookup
-    table from code to level index gives pixel_level.  A counted level at
-    zero is +0.0.
+    table from code to level index gives pixel_level.  A level at zero is
+    +0.0, whichever zeros the image holds.
     """
-    codes, lo = img.raster, 0.0
+    codes, lo, code_values = img.raster, 0.0, img.table
     if codes is not None:
-        size = 1 << (8 * codes.itemsize)
+        size = 1 << (8 * codes.itemsize) if code_values is None else code_values.size
     else:
         x = img.data
         lo = float(x.min())
@@ -206,7 +226,8 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
         counts = np.zeros(size, dtype=np.intp)
         for a in range(0, codes.size, _COUNT_SLICE):
             counts += np.bincount(codes[a:a + _COUNT_SLICE], minlength=size)
-        code_values = np.arange(size) + lo
+        if code_values is None:
+            code_values = np.arange(size) + lo
     else:
         code_values, codes, counts = np.unique(
             img.data, return_inverse=True, return_counts=True
@@ -214,7 +235,7 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     present = np.flatnonzero(counts)[::-1]
     lut = np.empty(counts.size, dtype=np.intp)
     lut[present] = np.arange(present.size)
-    values, masses = code_values[present], counts[present]
+    values, masses = code_values[present] + 0.0, counts[present]  # -0.0 + 0.0 is +0.0
     rearr = Rearrangement(values, masses.astype(np.float64))
     levels = LevelStructure(values.copy(), masses, lut[codes], img.shape)
     return rearr, levels

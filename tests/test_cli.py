@@ -17,6 +17,8 @@ from nfr import synthetic
 from nfr.cli import (FormatError, _fmt, _write_rows, read_float_csv,
                      write_float_csv)
 
+from test_rearrangement import PARITY_CASES
+
 
 def run(*args, env=None):
     e = os.environ.copy()
@@ -209,6 +211,59 @@ class TestDenoise:
         assert exc.value.code == 2
         assert not (tmp_path / "o.pgm").exists()
 
+    def test_csv_only_for_any_dimension(self, tmp_path):
+        # the same values as 2x3x4 and as 4x6: equal bits and J, and no PGM
+        a = np.round(np.random.default_rng(11).normal(100.0, 40.0, (2, 3, 4)), 1)
+        outs = {}
+        for name, arr in (("cube", a), ("flat", a.reshape(4, 6))):
+            src, csv = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+            write_float_csv(src, Image.from_array(arr))
+            r = run("denoise", "--input", src, "--csv", csv, "--h", "60")
+            assert r.returncode == 0 and r.stderr == "", r.stderr
+            report = json.loads((tmp_path / f"{name}.out.csv.report.jsonl").read_text())
+            assert report["outputs"] == [str(csv)]
+            outs[name] = read_float_csv(csv), report["j_trace"]
+        (cube, j_cube), (flat, j_flat) = outs["cube"], outs["flat"]
+        assert cube.shape == (2, 3, 4) and flat.shape == (4, 6)
+        assert cube.data.tobytes() == flat.data.tobytes()
+        assert j_cube == j_flat and len(j_cube) > 1
+        assert not list(tmp_path.glob("*.pgm"))
+
+    def test_needs_an_output_is_2_before_the_read(self, tmp_path, capsys):
+        import nfr.cli
+
+        assert nfr.cli.main(["denoise", "--input", str(tmp_path / "missing.csv"),
+                             "--h", "25"]) == 2
+        assert capsys.readouterr().err == "error: denoise needs --output, --csv or both\n"
+
+    def test_windowed_filter_needs_2d_without_output(self, tmp_path, capsys):
+        import nfr.cli
+
+        src = tmp_path / "cube.csv"
+        write_float_csv(src, Image(np.arange(8.0), (2, 2, 2)))
+        for name in ("bilateral", "nlm"):
+            assert nfr.cli.main(["denoise", "--input", str(src), "--csv",
+                                 str(tmp_path / "o.csv"), "--filter", name, "--h", "5"]) == 3
+            assert capsys.readouterr().err == (f"error: {src}: {name} needs a 2-D image, "
+                                               "got shape (2, 2, 2)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.csv"]
+
+    @pytest.mark.parametrize("with_csv", [True, False], ids=["csv", "pgm-only"])
+    def test_clamped_pixels_warn(self, tmp_path, with_csv):
+        # levels far apart stay apart, so three of six pixels leave [0, 255]
+        src, out, csv = tmp_path / "in.csv", tmp_path / "out.pgm", tmp_path / "out.csv"
+        write_float_csv(src, Image(np.array([-400.0, 100.0, 900.0, 100.0, 900.0, 200.0]),
+                                   (2, 3)))
+        r = run("denoise", "--input", src, "--output", out, "--h", "5",
+                *(["--csv", csv] if with_csv else []))
+        assert r.returncode == 0
+        keep = "the --csv output keeps them" if with_csv else "write --csv to keep them"
+        assert r.stderr == f"warning: {out}: 3 of 6 pixels clamped to [0, 255]; {keep}\n"
+        assert read_pgm(out)[0].tolist() == [[0, 100, 255], [100, 255, 200]]
+        if with_csv:
+            assert read_float_csv(csv).data.tolist() == [-400.0, 100.0, 900.0,
+                                                         100.0, 900.0, 200.0]
+
     def test_16bit_roundtrip(self, tmp_path):
         src = tmp_path / "deep.pgm"
         write_pgm(src, (synthetic.squares(8).to_array() * 257).astype(np.uint16),
@@ -329,8 +384,8 @@ def _tokens(lines, rng) -> bytes:
 
 
 def _block_case(fill_to_edge=None, tail=b"", distinct=True, repeated=True):
-    """A body of about 3 * 256 KiB: distinct %.17g values (the np.array
-    arm) and/or lines drawn from four levels (the distinct-token arm)."""
+    """A body of about 3 * 256 KiB: lines drawn from four levels and/or
+    distinct %.17g values."""
     rng = np.random.default_rng(9)
     parts = []
     if repeated:
@@ -347,14 +402,15 @@ def _block_case(fill_to_edge=None, tail=b"", distinct=True, repeated=True):
 
 
 BLOCK_CASES = {
-    # name: (body, blocks parsed by the distinct-token arm)
+    # name: (body, blocks parsed as token codes, the last, empty read included);
+    # a file is coded throughout when its first block is mostly repeats
     "distinct": lambda: (_block_case(repeated=False), 0),
-    "repeated": lambda: (_block_case(distinct=False, tail=b"0.25\n" * 90_000), 3),
-    "mixed": lambda: (_block_case(), 2),
+    "repeated": lambda: (_block_case(distinct=False, tail=b"0.25\n" * 90_000), 4),
+    "mixed": lambda: (_block_case(), 6),
     "straddling_token": lambda: (_block_case(fill_to_edge=b"12345.678901234567\n",
-                                             repeated=False), 1),
-    "no_final_newline": lambda: (_block_case(distinct=False, tail=b"12.5"), 2),
-    "one_block": lambda: (b"# shape: 131072\n" + b"5\n" * (1 << 17), 1),
+                                             repeated=False), 6),
+    "no_final_newline": lambda: (_block_case(distinct=False, tail=b"12.5"), 3),
+    "one_block": lambda: (b"# shape: 131072\n" + b"5\n" * (1 << 17), 2),
 }
 
 
@@ -405,7 +461,7 @@ class TestFloatCsv:
         path.write_bytes(body)
         expected = read_outcome(loadtxt_reader, path)
         calls = []
-        fromiter = np.fromiter  # called by the distinct-token arm only
+        fromiter = np.fromiter  # called once per block of a coded file
         monkeypatch.setattr(np, "fromiter", lambda *a: calls.append(1) or fromiter(*a))
         assert expected is not None and read_outcome(read_float_csv, path) == expected
         assert len(calls) == gathered
@@ -444,9 +500,11 @@ class TestFloatCsv:
         assert img.data.tolist() == [1.0, 2.0, 3.0]
 
     def test_peak_memory(self, tmp_path):
-        # one float64 array of the output plus a bounded block, not a list
-        # of all N tokens or a concatenation of per-block arrays; the same
-        # values on one line are cut at spaces, not carried to the file's end
+        # a file of distinct values: one float64 array of the output plus a
+        # bounded block, not a list of all N tokens or a concatenation of
+        # per-block arrays.  A file of 250 levels: its uint16 codes plus a
+        # bounded block.  The same values on one line are cut at spaces, not
+        # carried to the file's end
         n = 1 << 20
         rng = np.random.default_rng(3)
         table = np.unique(rng.integers(0, 256, 250)) / 255.0
@@ -456,15 +514,122 @@ class TestFloatCsv:
         head, body = path.read_bytes().split(b"\n", 1)
         one_line = tmp_path / "one_line.csv"
         one_line.write_bytes(head + b"\n" + body.replace(b"\n", b" "))
-        for p in (path, one_line):
+        distinct = tmp_path / "distinct.csv"
+        values = rng.standard_normal(n // 2)  # half the size: its read is slower
+        write_float_csv(distinct, Image(values, (512, 1024)))
+        for p, expected, bound in ((path, table[index], 0.5), (one_line, table[index], 0.5),
+                                   (distinct, values, 1.5)):
             tracemalloc.start()
             try:
                 img = read_float_csv(p)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert np.array_equal(img.data, table[index]), p
-            assert peak <= 1.5 * 8 * n, p
+            assert (img.table is not None) == (bound < 1), p
+            assert np.array_equal(img.data, expected), p
+            assert peak <= bound * 8 * expected.size, (p, peak / (8 * expected.size))
+
+
+def _coded_csv(path, tokens):
+    """Write the byte tokens one a line under a 1-D shape header."""
+    path.write_bytes(f"# shape: {len(tokens)}\n".encode() + b"".join(t + b"\n" for t in tokens))
+    return path
+
+
+def assert_same_levels(img):
+    """The level structure of `img` has the bytes and dtypes of that of its
+    float64 copy; returns it."""
+    _, got = decreasing_rearrangement(img)
+    _, ref = decreasing_rearrangement(Image(img.data, img.shape))
+    for field in ("values", "masses", "pixel_level"):
+        g, r = getattr(got, field), getattr(ref, field)
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), field
+    return got
+
+
+class TestCodedCsv:
+    """A file whose first block is mostly repeats is read as uint16 codes
+    and a table of the distinct tokens' values."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_parity_cases(self, tmp_path, case):
+        # each value written four times, so the first block is mostly repeats
+        a = np.tile(PARITY_CASES[case](), 4)
+        path = tmp_path / "x.csv"
+        write_float_csv(path, Image.from_array(a))
+        img = read_float_csv(path)
+        # a file with both -0 and 0 is read as float64, keeping every sign
+        assert (img.table is None) == (case == "signed_zero")
+        assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
+        assert_same_levels(img)
+
+    def test_spellings_of_one_value_are_one_level(self, tmp_path):
+        spellings = [b"0.5", b"5e-1", b".50", b"+0.5", b"1", b"1.0", b"1e0", b"0.25",
+                     b"2.5E-1", b"-3", b"-3.00"]
+        rng = np.random.default_rng(4)
+        path = _coded_csv(tmp_path / "x.csv", [spellings[i] for i in
+                                               rng.integers(0, len(spellings), 3000)])
+        img = read_float_csv(path)
+        assert img.table.tolist() == [-3.0, 0.25, 0.5, 1.0]
+        assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
+        assert assert_same_levels(img).values.tolist() == [1.0, 0.5, 0.25, -3.0]
+
+    @pytest.mark.parametrize("other", [b"3", b"0.5"], ids=["integral", "sorted"])
+    def test_negative_zero_alone_keeps_its_bits(self, tmp_path, other):
+        # the pixels keep -0.0; the level at zero is +0.0 on every path
+        path = _coded_csv(tmp_path / "x.csv", [b"-0", other, b"-0.0"] * 400)
+        img = read_float_csv(path)
+        assert img.table is not None and np.signbit(img.table[0])
+        assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
+        levels = assert_same_levels(img)
+        assert levels.values[-1] == 0.0 and not np.signbit(levels.values[-1])
+
+    def test_both_zeros_are_one_positive_level(self, tmp_path):
+        path = _coded_csv(tmp_path / "x.csv", [b"-0", b"0", b"0.5", b"0"] * 400)
+        img = read_float_csv(path)
+        assert img.table is None
+        assert np.array_equal(np.signbit(img.data), np.tile([True, False, False, False], 400))
+        levels = assert_same_levels(img)
+        assert levels.values.tolist() == [0.5, 0.0] and levels.masses.tolist() == [400, 1200]
+        assert not np.signbit(levels.values[-1])
+
+    @pytest.mark.parametrize("bad", [b"nan", b"-inf"])
+    def test_non_finite_token_is_refused(self, tmp_path, bad):
+        path = _coded_csv(tmp_path / "x.csv", [b"1"] * 7 + [bad])
+        with pytest.raises(FormatError, match=f"{path}: intensities must be finite"):
+            read_float_csv(path)
+
+    @pytest.mark.parametrize("q", [1 << 16, (1 << 16) + 1], ids=["65536", "65537"])
+    def test_uint16_limit(self, tmp_path, q):
+        # 2048 repeats first, then q distinct values: up to 2^16 stay coded,
+        # one more switches the rest of the file to float64 values
+        values = np.arange(q) * 0.5 - 1000.0
+        tokens = [f"{v:.17g}".encode() for v in values]
+        path = _coded_csv(tmp_path / "x.csv", tokens[:4] * 512 + tokens)
+        img = read_float_csv(path)
+        if q == 1 << 16:
+            assert img.raster.dtype == np.uint16 and img.table.size == q
+        else:
+            assert img.raster is None and img.table is None
+        assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
+        assert assert_same_levels(img).values.size == q
+
+    def test_coded_read_is_not_sorted(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        table = np.unique(rng.integers(0, 256, 250)) / 255.0
+        path = tmp_path / "x.csv"
+        write_float_csv(path, Image(table[rng.integers(0, table.size, 1 << 16)], (256, 256)))
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        _, levels = decreasing_rearrangement(read_float_csv(path))
+        assert calls == [table.size]  # the reader's, on the distinct tokens
+        assert levels.values.size == table.size
 
 
 class TestSegmentCommand:

@@ -163,6 +163,44 @@ class TestLevelParity:
         wide[0, :2] = 0, 70000
         decreasing_rearrangement(Image.from_array(wide.astype(np.float64)))
         assert calls == [64 * 64, 300 * 300]
+        # codes with a value table of non-integral levels
+        codes = np.random.Generator(np.random.PCG64(26)).integers(0, 3, (64, 64))
+        decreasing_rearrangement(Image(codes.astype(np.uint16), (64, 64), [-0.5, 0.1, 3.25]))
+        assert calls == [64 * 64, 300 * 300]
+
+
+class TestValueTable:
+    """8/16-bit codes that stand for the entries of a float64 table."""
+
+    def test_codes_stand_for_table_entries(self):
+        table = [-1.5, 0.25, 7.0, 9.5]  # 9.5 is never used
+        img = Image(np.array([[2, 0], [1, 2]], dtype=np.uint8), (2, 2), table)
+        assert img.data.tolist() == [7.0, -1.5, 0.25, 7.0]
+        assert img.to_array().tolist() == [[7.0, -1.5], [0.25, 7.0]]
+        r, levels = decreasing_rearrangement(img)
+        assert levels.values.tolist() == [7.0, 0.25, -1.5]
+        assert levels.masses.tolist() == [2, 1, 1]
+        assert levels.pixel_level.tolist() == [0, 2, 1, 0]
+        assert r.masses.tolist() == [2.0, 1.0, 1.0]
+
+    def test_negative_zero_level_is_positive(self):
+        img = Image(np.array([0, 1, 0], dtype=np.uint16), (3,), [-0.0, 2.0])
+        assert np.signbit(img.data).tolist() == [True, False, True]
+        _, levels = decreasing_rearrangement(img)
+        assert levels.values.tolist() == [2.0, 0.0]
+        assert not np.signbit(levels.values[1])
+
+    @pytest.mark.parametrize("codes, table, message", [
+        (np.array([0, 1], dtype=np.uint8), [1.0, 1.0], "strictly increasing"),
+        (np.array([0, 1], dtype=np.uint8), [-0.0, 0.0], "strictly increasing"),
+        (np.array([0, 1], dtype=np.uint8), [1.0, np.inf], "finite"),
+        (np.array([0, 1], dtype=np.uint8), [[1.0, 2.0]], "strictly increasing"),
+        (np.array([0, 2], dtype=np.uint16), [1.0, 2.0], "codes reach 2"),
+        (np.array([0.0, 1.0]), [1.0, 2.0], "8- or 16-bit codes"),
+    ], ids=["tie", "signed-zeros", "inf", "2-d", "short", "float-codes"])
+    def test_rejects_bad_tables(self, codes, table, message):
+        with pytest.raises(ValueError, match=message):
+            Image(codes, codes.shape, table)
 
 
 class TestReconstruct:
