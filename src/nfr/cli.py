@@ -19,10 +19,12 @@ reused uint8 buffer.  The CSV writer formats each level once: the nf
 filter's output has at most Q distinct values, written through the
 pixel-to-level index.  The reader, likewise, names each token of a file
 whose first block is mostly repeats by a uint16 code and converts each
-distinct token once: the image is those codes and their value table,
-counted like a raster with no float64 copy and no sort.  A file whose
-first block is mostly distinct, or which passes 2^16 distinct tokens, is
-converted a block at a time; a body on one line is cut at spaces.
+distinct token once: the image is those codes and the table of the
+tokens' values as first seen, counted like a raster with no float64 copy
+and no N-sized sort (`decreasing_rearrangement` merges equal entries).  A
+file whose first block is mostly distinct, or which passes 2^16 distinct
+tokens, is converted a block at a time; a body on one line is cut at
+spaces.
 `denoise` and `segment` write a one-line JSON report (sorted keys)
 through one writer, `_write_report`, with the pixel count `n` and the
 level count `q` of the rearrangement the run filtered (null for the
@@ -72,7 +74,7 @@ class FormatError(Exception):
     """Unreadable or malformed input file (exit code 3)."""
 
 
-_CSV_BLOCK = 1 << 16  # lines per write of the float CSV body; codes per remap
+_CSV_BLOCK = 1 << 16  # lines per write of the float CSV body
 _READ_BLOCK = 1 << 18  # bytes per read of the float CSV body
 _MAX_CODES = 1 << 16  # distinct tokens that uint16 codes can name
 _COMMENT = re.compile(rb"#[^\r\n]*")
@@ -138,11 +140,12 @@ def read_float_csv(path) -> Image:
     first 1024 tokens are repeats, every token is named by a uint16 code
     from one dict of the file's distinct tokens, and each distinct token is
     converted once at the end: the image is then the codes and the table
-    of their ascending values (see `Image`).  Otherwise, and from the point
-    where a file passes 2^16 distinct tokens, blocks are converted to
-    float64 whole.  A file holding both -0 and 0 is returned as float64
-    values, which a table of distinct values could not keep apart, and so
-    is one holding nan or inf, which `Image` then refuses.
+    of the tokens' values in the order first seen, so spellings of one
+    value (and -0 beside 0) are separate entries that keep their bits, and
+    `decreasing_rearrangement` merges them into one level (see `Image`).
+    Otherwise, and from the point where a file passes 2^16 distinct
+    tokens, blocks are converted to float64 whole.  `Image` refuses a nan
+    or inf value on either path.
     """
     try:
         with open(path, "rb") as fh:
@@ -201,16 +204,7 @@ def read_float_csv(path) -> Image:
                                  f"wants {math.prod(shape)}")
             if codes is None:
                 return Image(np.empty(0) if out is None else out[:n], shape)
-            values, codes = _token_values(ids), codes[:n]
-            zeros = np.signbit(values[values == 0.0])
-            if not np.all(np.isfinite(values)) or (zeros.any() and not zeros.all()):
-                return Image(values[codes], shape)
-            table, remap = np.unique(values, return_inverse=True)
-            remap = remap.astype(np.uint16)
-            for a in range(0, n, _CSV_BLOCK):  # in place: no N-sized temporary
-                part = codes[a:a + _CSV_BLOCK]
-                part[:] = remap[part]
-            return Image(codes, shape, table)
+            return Image(codes[:n], shape, _token_values(ids))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -323,14 +317,17 @@ def cmd_denoise(args) -> int:
 
     outputs = []
     if args.output is not None:
-        pixels = np.rint(out.to_array())
-        clamped = int(np.count_nonzero((pixels < 0) | (pixels > maxval)))
+        # clamped: rounds outside [0, maxval]; ties go to even, so maxval + 0.5
+        # rounds out for an odd maxval and in for an even one
+        x = out.to_array()
+        above = np.greater_equal if maxval % 2 else np.greater
+        clamped = int(np.count_nonzero((x < -0.5) | above(x, maxval + 0.5)))
         if clamped:
             keep = ("the --csv output keeps them" if args.csv is not None
                     else "write --csv to keep them")
             print(f"warning: {args.output}: {clamped} of {out.n} pixels clamped "
                   f"to [0, {maxval}]; {keep}", file=sys.stderr)
-        write_pgm(args.output, quantize(pixels, maxval), maxval)
+        write_pgm(args.output, quantize(x, maxval), maxval)
         outputs.append(args.output)
     if args.csv is not None:
         write_float_csv(args.csv, out, table, index)

@@ -91,6 +91,10 @@ def write_pgm(path, array, maxval: int = 255):
 def quantize(data: np.ndarray, maxval: int = 255) -> np.ndarray:
     """Round to nearest integer (ties to even) and clamp to [0, maxval].
 
-    Lossy presentation step for writing float images as PGM.
+    Lossy presentation step for writing float images as PGM; returns the
+    PGM sample type, uint8 for maxval <= 255 and uint16 above.
     """
-    return np.clip(np.rint(data), 0, int(maxval)).astype(np.int64)
+    pixels = np.array(data, dtype=np.float64)  # rounded and clamped in place
+    np.rint(pixels, out=pixels)
+    np.clip(pixels, 0, int(maxval), out=pixels)
+    return pixels.astype(np.uint8 if maxval <= 255 else np.uint16)

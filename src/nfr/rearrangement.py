@@ -11,17 +11,16 @@ Filtering operates on the rearrangement; `reconstruct` maps new level values
 back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
 
-Levels are grouped in one of two ways.  Integer codes are counted: an 8-
-or 16-bit raster is counted on its own integers, with no float64 or intp
-copy of the image.  Its codes stand for themselves (every PGM) or for the
-entries of a value table (a float CSV with few distinct tokens, whose
-reader already named each token by a code).  Any other image whose values
-are its minimum lo plus integers below 2^16 (checked exactly over all N
-values) is counted on the uint16 offsets x - lo.  Counting is O(N), by
-np.bincount over slices.  Any other input, an integral one of range 2^16
-or more included, is sorted in O(N log N).  All give bit-identical level
-structures for the same values, and a level at zero is +0.0 on every
-path.  `histogram` is the same level structure in ascending order.
+Equal values become one level here and nowhere else, in one of two ways.
+A raster's codes are counted in O(N), by np.bincount over slices, with no
+float64 or intp copy of the image: an 8- or 16-bit raster's codes stand
+for themselves (every PGM) or for the entries of a value table (a float
+CSV with few distinct tokens, whose reader named each token by a code in
+the order first seen).  Codes of equal value merge through one np.unique
+over the table, in O(Q).  Any other image is sorted with np.unique, in
+O(N log N).  Both give bit-identical level structures for the same
+values, and a level at zero is +0.0 on every path.  `histogram` is the
+same level structure in ascending order.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ class Image:
     `shape` may have any number of extents d >= 1.  An unsigned 8- or
     16-bit array is kept as given in `raster`, and
     `decreasing_rearrangement` counts its levels on it.  With no `table`
-    (a PGM raster) code c stands for the value c.  With a `table` (an
-    ascending, strictly increasing, finite float64 array with an entry for
-    every code; the float CSV reader builds one) code c stands for
-    table[c].  The float64 intensities `data` of a raster are built once,
-    on first access.  Any other input is converted to float64 `data` at
-    once and must be finite; its `raster` and `table` are None.  Treat
-    instances as immutable.
+    (a PGM raster) code c stands for the value c.  With a `table` (a
+    finite 1-D float64 array with an entry for every code, in any order
+    and possibly with repeats; the float CSV reader builds one) code c
+    stands for table[c].  The float64 intensities `data` of a raster are
+    built once, on first access, and keep each table entry's bits.  Any
+    other input is converted to float64 `data` at once and must be finite;
+    its `raster` and `table` are None.  Treat instances as immutable.
     """
 
     def __init__(self, data, shape, table=None):
@@ -63,21 +62,20 @@ class Image:
         self.raster = self.table = None
         if a.dtype in _RASTER_DTYPES:
             self.raster = a.ravel()
-            if table is not None:
-                t = np.asarray(table, dtype=np.float64)
-                if (t.ndim != 1 or not np.all(np.isfinite(t))
-                        or np.any(t[1:] <= t[:-1])):
-                    raise ValueError("a value table must be finite and strictly increasing")
-                if int(self.raster.max()) >= t.size:
-                    raise ValueError(f"codes reach {int(self.raster.max())}, "
-                                     f"the value table has {t.size} entries")
-                self.table = t
+            if table is None:
+                return
+            values = self.table = np.asarray(table, dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError("a value table must be 1-D")
+            if int(self.raster.max()) >= values.size:
+                raise ValueError(f"codes reach {int(self.raster.max())}, "
+                                 f"the value table has {values.size} entries")
         elif table is not None:
             raise ValueError("a value table needs 8- or 16-bit codes")
         else:
-            self.data = np.asarray(a, dtype=np.float64).ravel()
-            if not np.all(np.isfinite(self.data)):
-                raise ValueError("intensities must be finite")
+            values = self.data = np.asarray(a, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(values)):
+            raise ValueError("intensities must be finite")
 
     @cached_property
     def data(self) -> np.ndarray:
@@ -199,42 +197,39 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     filter) and the level structure (integer masses plus the per-pixel level
     index needed to reconstruct images).  Two groupings:
 
-    - count, in O(N): a raster's own codes (8/16-bit input) into 2^8 or
-      2^16 bins, or into one bin per entry of its value table, or the
-      uint16 offsets x - lo of an image whose values are its minimum lo
-      plus integers below 2^16 into hi - lo + 1 bins;
-    - sort, in O(N log N): any other input, by np.unique.
+    - count, in O(N): a raster's codes into 2^8 or 2^16 bins, or into one
+      bin per entry of its value table; one np.unique over the table, in
+      O(Q), then merges the bins of equal entries;
+    - sort, in O(N log N): any other image, by np.unique.
 
-    Each yields ascending code values, their counts and every pixel's code.
-    The present codes in descending order are the levels, and a lookup
-    table from code to level index gives pixel_level.  A level at zero is
-    +0.0, whichever zeros the image holds.
+    Each yields ascending distinct values, their counts and every pixel's
+    code.  The present values in descending order are the levels, and a
+    lookup table from code to level index (for a table's codes, through
+    the merge) gives pixel_level.  A level at zero is +0.0, whichever zeros
+    the image holds.
     """
-    codes, lo, code_values = img.raster, 0.0, img.table
-    if codes is not None:
-        size = 1 << (8 * codes.itemsize) if code_values is None else code_values.size
-    else:
-        x = img.data
-        lo = float(x.min())
-        span = float(x.max()) - lo  # a Python float: inf, not a warning, at +-1e308
-        if span < 65536:
-            size = int(span) + 1  # the largest offset, as rounding is monotone
-            codes = (x - lo).astype(np.uint16)
-            if not np.array_equal(codes + lo, x):
-                codes = None
-    if codes is not None:
-        counts = np.zeros(size, dtype=np.intp)
-        for a in range(0, codes.size, _COUNT_SLICE):
-            counts += np.bincount(codes[a:a + _COUNT_SLICE], minlength=size)
-        if code_values is None:
-            code_values = np.arange(size) + lo
-    else:
+    codes, table, merge = img.raster, img.table, None
+    if codes is None:
         code_values, codes, counts = np.unique(
             img.data, return_inverse=True, return_counts=True
         )
+    else:
+        size = 1 << (8 * codes.itemsize) if table is None else table.size
+        counts = np.zeros(size, dtype=np.intp)
+        for a in range(0, codes.size, _COUNT_SLICE):
+            counts += np.bincount(codes[a:a + _COUNT_SLICE], minlength=size)
+        if table is None:
+            code_values = np.arange(size, dtype=np.float64)
+        else:  # equal entries (-0.0 and 0.0 among them) merge into one code
+            code_values, merge = np.unique(table, return_inverse=True)
+            merged = np.zeros(code_values.size, dtype=np.intp)
+            np.add.at(merged, merge, counts)
+            counts = merged
     present = np.flatnonzero(counts)[::-1]
     lut = np.empty(counts.size, dtype=np.intp)
     lut[present] = np.arange(present.size)
+    if merge is not None:
+        lut = lut[merge]  # from a table entry through its merged code
     values, masses = code_values[present] + 0.0, counts[present]  # -0.0 + 0.0 is +0.0
     rearr = Rearrangement(values, masses.astype(np.float64))
     levels = LevelStructure(values.copy(), masses, lut[codes], img.shape)

@@ -17,7 +17,7 @@ from nfr import synthetic
 from nfr.cli import (FormatError, _fmt, _write_rows, read_float_csv,
                      write_float_csv)
 
-from test_rearrangement import PARITY_CASES
+from test_rearrangement import PARITY_CASES, assert_same_levels
 
 
 def run(*args, env=None):
@@ -263,6 +263,16 @@ class TestDenoise:
         if with_csv:
             assert read_float_csv(csv).data.tolist() == [-400.0, 100.0, 900.0,
                                                          100.0, 900.0, 200.0]
+
+    def test_clamp_count_follows_rounding_ties(self, tmp_path):
+        # ties go to even: -0.5 rounds to 0 (kept), 255.5 to 256 (clamped)
+        src, out = tmp_path / "in.csv", tmp_path / "out.pgm"
+        write_float_csv(src, Image(np.array([-0.5, 100.0, 255.5, 600.0]), (2, 2)))
+        r = run("denoise", "--input", src, "--output", out, "--h", "5")
+        assert r.returncode == 0
+        assert r.stderr == (f"warning: {out}: 2 of 4 pixels clamped to [0, 255]; "
+                            "write --csv to keep them\n")
+        assert read_pgm(out)[0].tolist() == [[0, 100], [255, 255]]
 
     def test_16bit_roundtrip(self, tmp_path):
         src = tmp_path / "deep.pgm"
@@ -536,17 +546,6 @@ def _coded_csv(path, tokens):
     return path
 
 
-def assert_same_levels(img):
-    """The level structure of `img` has the bytes and dtypes of that of its
-    float64 copy; returns it."""
-    _, got = decreasing_rearrangement(img)
-    _, ref = decreasing_rearrangement(Image(img.data, img.shape))
-    for field in ("values", "masses", "pixel_level"):
-        g, r = getattr(got, field), getattr(ref, field)
-        assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), field
-    return got
-
-
 class TestCodedCsv:
     """A file whose first block is mostly repeats is read as uint16 codes
     and a table of the distinct tokens' values."""
@@ -558,8 +557,7 @@ class TestCodedCsv:
         path = tmp_path / "x.csv"
         write_float_csv(path, Image.from_array(a))
         img = read_float_csv(path)
-        # a file with both -0 and 0 is read as float64, keeping every sign
-        assert (img.table is None) == (case == "signed_zero")
+        assert img.table is not None  # a file with both -0 and 0 included
         assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
         assert_same_levels(img)
 
@@ -570,7 +568,9 @@ class TestCodedCsv:
         path = _coded_csv(tmp_path / "x.csv", [spellings[i] for i in
                                                rng.integers(0, len(spellings), 3000)])
         img = read_float_csv(path)
-        assert img.table.tolist() == [-3.0, 0.25, 0.5, 1.0]
+        # one table entry per spelling, in the order first seen
+        assert img.table.size == len(spellings)
+        assert sorted(set(img.table.tolist())) == [-3.0, 0.25, 0.5, 1.0]
         assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
         assert assert_same_levels(img).values.tolist() == [1.0, 0.5, 0.25, -3.0]
 
@@ -587,7 +587,8 @@ class TestCodedCsv:
     def test_both_zeros_are_one_positive_level(self, tmp_path):
         path = _coded_csv(tmp_path / "x.csv", [b"-0", b"0", b"0.5", b"0"] * 400)
         img = read_float_csv(path)
-        assert img.table is None
+        assert img.table.tolist() == [0.0, 0.0, 0.5]  # -0 and 0: still coded
+        assert np.signbit(img.table).tolist() == [True, False, False]
         assert np.array_equal(np.signbit(img.data), np.tile([True, False, False, False], 400))
         levels = assert_same_levels(img)
         assert levels.values.tolist() == [0.5, 0.0] and levels.masses.tolist() == [400, 1200]
@@ -628,7 +629,7 @@ class TestCodedCsv:
 
         monkeypatch.setattr(np, "unique", counting)
         _, levels = decreasing_rearrangement(read_float_csv(path))
-        assert calls == [table.size]  # the reader's, on the distinct tokens
+        assert calls == [table.size]  # on the table of distinct tokens only
         assert levels.values.size == table.size
 
 

@@ -217,14 +217,16 @@ class TestWriteValidation:
 class TestQuantize:
     def test_round_and_clamp(self):
         got = quantize(np.array([-5.0, 0.4, 3.6, 254.5, 300.0]), 255)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint8  # the PGM sample type of maxval 255
         assert np.array_equal(got, [0, 0, 4, 254, 255])
 
     def test_ties_to_even(self):
         assert np.array_equal(quantize(np.array([0.5, 1.5, 2.5])), [0, 2, 2])
 
     def test_custom_maxval(self):
-        assert np.array_equal(quantize(np.array([70000.2]), 65535), [65535])
+        got = quantize(np.array([70000.2, 256.0, -1.0]), 65535)
+        assert got.dtype == np.uint16 and got.tolist() == [65535, 256, 0]
+        assert quantize(np.array([300.0]), 256).tolist() == [256]
 
     def test_quantize_then_write(self, tmp_path):
         p = tmp_path / "q.pgm"

@@ -98,6 +98,17 @@ def unique_reference(x):
     return vals[::-1], counts[::-1], (vals.size - 1) - inverse.ravel()
 
 
+def assert_same_levels(img):
+    """The level structure of `img` has the bytes and dtypes of that of its
+    float64 copy; returns it."""
+    _, got = decreasing_rearrangement(img)
+    _, ref = decreasing_rearrangement(Image(img.data, img.shape))
+    for field in ("values", "masses", "pixel_level"):
+        g, r = getattr(got, field), getattr(ref, field)
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), field
+    return got
+
+
 def _sixteen_bit_sparse():
     a = np.zeros((4, 4))
     a[0, :2] = 65535.0
@@ -115,8 +126,8 @@ PARITY_CASES = {
     "extreme_range": lambda: np.array([[-1e308, 1e308, 0.0]]),
     "non_integral": lambda: random_quantized(23, levels=64, scale=1.0).to_array() + 0.5,
     "signed_zero": lambda: np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -2.0]]),
-    "range_65535": lambda: np.array([[-1000.0, 64535.0], [7.0, -1000.0]]),  # counted
-    "range_65536": lambda: np.array([[-1000.0, 64536.0], [7.0, -1000.0]]),  # sorted
+    "range_65535": lambda: np.array([[-1000.0, 64535.0], [7.0, -1000.0]]),
+    "range_65536": lambda: np.array([[-1000.0, 64536.0], [7.0, -1000.0]]),
 }
 
 
@@ -141,7 +152,7 @@ class TestLevelParity:
             assert np.array_equal(np.signbit(levels.values),
                                   np.signbit(expected[0]))
 
-    def test_integral_image_is_not_sorted(self, monkeypatch):
+    def test_unique_sorts_a_table_or_the_data_never_a_raster(self, monkeypatch):
         calls = []
         unique = np.unique
 
@@ -150,23 +161,20 @@ class TestLevelParity:
             return unique(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
+        # PGM rasters: counted, with no np.unique
+        decreasing_rearrangement(Image.from_array(
+            random_quantized(24, size=64, levels=256, scale=1.0).to_array().astype(np.uint8)))
+        decreasing_rearrangement(Image.from_array(_sixteen_bit_sparse().astype(np.uint16)))
+        assert calls == []
+        # codes with a value table: one np.unique over its Q entries
+        codes = np.random.Generator(np.random.PCG64(26)).integers(0, 3, (64, 64))
+        decreasing_rearrangement(Image(codes.astype(np.uint16), (64, 64), [3.25, -0.5, 0.1]))
+        assert calls == [3]
+        # float data, integral or not: sorted, all N values
         decreasing_rearrangement(random_quantized(24, size=64, levels=256, scale=1.0))
-        assert calls == []
-        # the float64 copy of a uint16 raster holding 0 and 65535
-        decreasing_rearrangement(Image.from_array(_sixteen_bit_sparse()))
-        assert calls == []
         decreasing_rearrangement(Image.from_array(
             np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
-        assert calls == [64 * 64]
-        # range 2^16 or more: sorted, whatever N
-        wide = np.random.Generator(np.random.PCG64(25)).integers(0, 70000, (300, 300))
-        wide[0, :2] = 0, 70000
-        decreasing_rearrangement(Image.from_array(wide.astype(np.float64)))
-        assert calls == [64 * 64, 300 * 300]
-        # codes with a value table of non-integral levels
-        codes = np.random.Generator(np.random.PCG64(26)).integers(0, 3, (64, 64))
-        decreasing_rearrangement(Image(codes.astype(np.uint16), (64, 64), [-0.5, 0.1, 3.25]))
-        assert calls == [64 * 64, 300 * 300]
+        assert calls == [3, 64 * 64, 64 * 64]
 
 
 class TestValueTable:
@@ -190,14 +198,26 @@ class TestValueTable:
         assert levels.values.tolist() == [2.0, 0.0]
         assert not np.signbit(levels.values[1])
 
+    @pytest.mark.parametrize("table", [[1.0, 1.0], [-0.0, 0.0],
+                                       [0.0, 2.5, -0.0, 2.5, -1.0, 0.0, 7.0]],
+                             ids=["tie", "signed-zeros", "unsorted"])
+    def test_equal_entries_are_one_level(self, table):
+        # entries need not be sorted or distinct; each keeps its bits in data
+        codes = np.arange(len(table), dtype=np.uint8).repeat(3)[::-1].copy()
+        img = Image(codes, codes.shape, table)
+        assert img.data.view(np.int64).tolist() == np.array(table)[codes].view(np.int64).tolist()
+        levels = assert_same_levels(img)
+        assert levels.values.tolist() == sorted(set(table), reverse=True)
+        assert levels.masses.tolist() == [3 * table.count(v) for v in levels.values.tolist()]
+        # -0.0 and 0.0 are one level, +0.0
+        assert not np.any(np.signbit(levels.values[levels.values == 0.0]))
+
     @pytest.mark.parametrize("codes, table, message", [
-        (np.array([0, 1], dtype=np.uint8), [1.0, 1.0], "strictly increasing"),
-        (np.array([0, 1], dtype=np.uint8), [-0.0, 0.0], "strictly increasing"),
-        (np.array([0, 1], dtype=np.uint8), [1.0, np.inf], "finite"),
-        (np.array([0, 1], dtype=np.uint8), [[1.0, 2.0]], "strictly increasing"),
+        (np.array([0, 1], dtype=np.uint8), [1.0, np.inf], "intensities must be finite"),
+        (np.array([0, 1], dtype=np.uint8), [[1.0, 2.0]], "must be 1-D"),
         (np.array([0, 2], dtype=np.uint16), [1.0, 2.0], "codes reach 2"),
         (np.array([0.0, 1.0]), [1.0, 2.0], "8- or 16-bit codes"),
-    ], ids=["tie", "signed-zeros", "inf", "2-d", "short", "float-codes"])
+    ], ids=["inf", "2-d", "short", "float-codes"])
     def test_rejects_bad_tables(self, codes, table, message):
         with pytest.raises(ValueError, match=message):
             Image(codes, codes.shape, table)
