@@ -15,16 +15,16 @@ copy (`--output`, 2-D images only; it warns on stderr when the clamp
 changed pixels), the CSV (`--csv`, any dimension) or both.  A PGM raster
 stays uint8 or uint16 from the read to the level structure (see
 `rearrangement.Image`), and `segment` builds every region mask in one
-reused uint8 buffer.  The CSV writer formats each level once: the nf
-filter's output has at most Q distinct values, written through the
-pixel-to-level index.  The reader, likewise, names each token of a file
-whose first block is mostly repeats by a uint16 code and converts each
-distinct token once: the image is those codes and the table of the
-tokens' values as first seen, counted like a raster with no float64 copy
-and no N-sized sort (`decreasing_rearrangement` merges equal entries).  A
-file whose first block is mostly distinct, or which passes 2^16 distinct
-tokens, is converted a block at a time; a body on one line is cut at
-spaces.
+reused uint8 buffer.  The nf filter's output is a coded image (its level
+codes and Q new values, see `rearrangement.reconstruct`), whose table the
+CSV writer formats once; any other image is formatted a block at a time.
+The reader, likewise, names each token of a file whose first block is
+mostly repeats by a uint16 code and converts each distinct token once:
+the image is those codes and the table of the tokens' values as first
+seen, counted like a raster with no float64 copy and no N-sized sort
+(`decreasing_rearrangement` merges equal entries).  A file whose first
+block is mostly distinct, or which passes 2^16 distinct tokens, is
+converted a block at a time; a body on one line is cut at spaces.
 `denoise` and `segment` write a one-line JSON report (sorted keys)
 through one writer, `_write_report`, with the pixel count `n` and the
 level count `q` of the rearrangement the run filtered (null for the
@@ -63,7 +63,7 @@ import numpy as np
 
 from .filter1d import FilterConfig, iterate
 from .kernels import make_kernel
-from .noise_metrics import NoiseSpec, add_gaussian_noise, rmse, snr_measure
+from .noise_metrics import NoiseSpec, add_gaussian_noise, rmse
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .rearrangement import Image, decreasing_rearrangement, reconstruct
 from .reference_filters import SpatialConfig, bilateral, default_workers, direct_nf, nlm
@@ -84,24 +84,23 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_float_csv(path, img: Image, table=None, index=None):
-    """Write `img` as float CSV, formatting each entry of a value table once.
+def write_float_csv(path, img: Image):
+    """Write `img` as float CSV: the shape header, then one %.17g value a line.
 
-    Line i of the body is the %.17g string of table[index[i]].  By default
-    the table is img.data itself with no index; the nf path passes its Q
-    level values and the pixel_level index (table[index] == img.data), so
-    only Q strings are formatted for N pixels.  The body goes out in joined
-    blocks, so no copy of the whole text is held next to the lines.
+    The body goes out a block of `_CSV_BLOCK` lines at a time.  A coded
+    image (see `Image`; the nf filter's output is one) has each table entry
+    formatted once, and each block's lines gathered through its codes; any
+    other image is formatted one block at a time.
     """
-    if table is None:
-        table = img.data
-    lines = [_fmt(v) + "\n" for v in table]
-    if index is not None:
-        lines = np.array(lines, dtype=object)[index]
+    coded = img.table is not None
+    if coded:
+        lines = np.array([_fmt(v) + "\n" for v in img.table], dtype=object)
+    flat = img.raster if coded else img.data
     with open(path, "w") as fh:
         fh.write(f"# shape: {' '.join(str(s) for s in img.shape)}\n")
-        for start in range(0, len(lines), _CSV_BLOCK):
-            fh.write("".join(lines[start:start + _CSV_BLOCK]))
+        for a in range(0, flat.size, _CSV_BLOCK):
+            block = flat[a:a + _CSV_BLOCK]
+            fh.write("".join(lines[block] if coded else [_fmt(v) + "\n" for v in block]))
 
 
 def _write_rows(path, header: str, *columns):
@@ -296,13 +295,12 @@ def cmd_denoise(args) -> int:
     if args.max_iter is None:  # resolved here so the report shows the count
         args.max_iter = {"nf": 100, "nf-direct": 10}.get(args.filter, 1)
     iterations = args.max_iter
-    stop_reason = j_trace = table = index = q = None
+    stop_reason = j_trace = q = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
         q = rearr.values.size
         trace = iterate(rearr, _filter_config(args, k))
-        table, index = trace.iterates[-1].values, levels.pixel_level
-        out = reconstruct(levels, table)
+        out = reconstruct(levels, trace.iterates[-1].values)
         iterations, stop_reason, j_trace = (trace.iterations, trace.stop_reason,
                                             trace.j_values)
     elif args.filter == "nf-direct":
@@ -330,7 +328,7 @@ def cmd_denoise(args) -> int:
         write_pgm(args.output, quantize(x, maxval), maxval)
         outputs.append(args.output)
     if args.csv is not None:
-        write_float_csv(args.csv, out, table, index)
+        write_float_csv(args.csv, out)
         outputs.append(args.csv)
     ticks.append(time.perf_counter())
 
@@ -443,7 +441,7 @@ def cmd_compare(args) -> int:
         sigma_a = float(np.std(a.data))
         payload = {
             "rmse": d,
-            "snr": snr_measure(a, b) if sigma_noise > 0.0 and sigma_a > 0.0 else None,
+            "snr": sigma_a / sigma_noise if sigma_noise > 0.0 and sigma_a > 0.0 else None,
             "max_abs_diff": float(np.max(np.abs(a.data - b.data))),
         }
     for key, v in payload.items():

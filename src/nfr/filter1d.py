@@ -195,7 +195,7 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
             e += 1.0  # E -> K in place
             nd[a:b] += e @ rhs[a:]
             nd[b:] += e[:, b - a:].T @ rhs[a:b]
-    return (2.0 * total if minus_one is None else -(h * h) * total), nd
+    return (2.0 * total if minus_one is None else 0.0 - (h * h) * total), nd  # +0.0 at J = 0
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:

@@ -13,14 +13,14 @@ on the image dimension: shape is carried along purely for I/O.
 
 Equal values become one level here and nowhere else, in one of two ways.
 A raster's codes are counted in O(N), by np.bincount over slices, with no
-float64 or intp copy of the image: an 8- or 16-bit raster's codes stand
-for themselves (every PGM) or for the entries of a value table (a float
-CSV with few distinct tokens, whose reader named each token by a code in
-the order first seen).  Codes of equal value merge through one np.unique
+float64 copy of the image: a PGM's 8- or 16-bit codes stand for
+themselves, a coded image's integer codes for the entries of its value
+table (see `Image`), and codes of equal value merge through one np.unique
 over the table, in O(Q).  Any other image is sorted with np.unique, in
 O(N log N).  Both give bit-identical level structures for the same
-values, and a level at zero is +0.0 on every path.  `histogram` is the
-same level structure in ascending order.
+values, and a level at zero is +0.0 on every path.  The level structure
+holds one N-sized intp array, the pixel-to-level index.  `histogram` is
+the same level structure in ascending order.
 """
 
 from __future__ import annotations
@@ -38,16 +38,16 @@ _RASTER_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 class Image:
     """Intensities on a grid of any dimension, flattened in C order.
 
-    `shape` may have any number of extents d >= 1.  An unsigned 8- or
-    16-bit array is kept as given in `raster`, and
-    `decreasing_rearrangement` counts its levels on it.  With no `table`
-    (a PGM raster) code c stands for the value c.  With a `table` (a
-    finite 1-D float64 array with an entry for every code, in any order
-    and possibly with repeats; the float CSV reader builds one) code c
-    stands for table[c].  The float64 intensities `data` of a raster are
-    built once, on first access, and keep each table entry's bits.  Any
-    other input is converted to float64 `data` at once and must be finite;
-    its `raster` and `table` are None.  Treat instances as immutable.
+    `shape` may have any number of extents d >= 1.  A coded image holds
+    integer codes in [0, table.size) beside a `table` (a finite 1-D float64
+    array, in any order and possibly with repeats; the float CSV reader and
+    `reconstruct` build one), and code c stands for table[c].  With no
+    table, an unsigned 8- or 16-bit array is a PGM raster, whose code c
+    stands for c.  Either keeps its codes as given in `raster`, where
+    `decreasing_rearrangement` counts them, and builds its float64 `data`
+    once, on first access, with each table entry's bits.  Any other input
+    is converted to float64 `data` at once and must be finite; its `raster`
+    and `table` are None.  Treat instances as immutable.
     """
 
     def __init__(self, data, shape, table=None):
@@ -60,20 +60,21 @@ class Image:
                 f"data has {a.size} samples, shape {self.shape} wants {math.prod(self.shape)}"
             )
         self.raster = self.table = None
-        if a.dtype in _RASTER_DTYPES:
-            self.raster = a.ravel()
+        if table is None and a.dtype not in _RASTER_DTYPES:
+            values = self.data = np.asarray(a, dtype=np.float64).ravel()
+        else:
+            self.raster = a if a.ndim == 1 else a.ravel()  # a flat array is kept as is
             if table is None:
                 return
+            if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.intp):
+                raise ValueError("a value table needs integer codes that fit intp")
             values = self.table = np.asarray(table, dtype=np.float64)
             if values.ndim != 1:
                 raise ValueError("a value table must be 1-D")
-            if int(self.raster.max()) >= values.size:
-                raise ValueError(f"codes reach {int(self.raster.max())}, "
+            lo, hi = int(self.raster.min()), int(self.raster.max())
+            if lo < 0 or hi >= values.size:
+                raise ValueError(f"codes reach {lo if lo < 0 else hi}, "
                                  f"the value table has {values.size} entries")
-        elif table is not None:
-            raise ValueError("a value table needs 8- or 16-bit codes")
-        else:
-            values = self.data = np.asarray(a, dtype=np.float64).ravel()
         if not np.all(np.isfinite(values)):
             raise ValueError("intensities must be finite")
 
@@ -197,9 +198,9 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     filter) and the level structure (integer masses plus the per-pixel level
     index needed to reconstruct images).  Two groupings:
 
-    - count, in O(N): a raster's codes into 2^8 or 2^16 bins, or into one
-      bin per entry of its value table; one np.unique over the table, in
-      O(Q), then merges the bins of equal entries;
+    - count, in O(N): a raster's codes into 2^8 or 2^16 bins, or a coded
+      image's into one bin per table entry; one np.unique over the table,
+      in O(Q), then merges the bins of equal entries;
     - sort, in O(N log N): any other image, by np.unique.
 
     Each yields ascending distinct values, their counts and every pixel's
@@ -239,16 +240,17 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
 def reconstruct(levels: LevelStructure, new_values) -> Image:
     """Build the image whose level sets are those of `levels` with new values.
 
-    Pixel i receives new_values[levels.pixel_level[i]].  Equal inputs map to
-    equal outputs by construction, so the output level-set partition is a
-    coarsening of the input one.
+    A coded image: its codes are levels.pixel_level itself and its table
+    the Q new values, so no N-sized array is built until `data` is read.
+    Equal inputs map to equal outputs by construction, so the output
+    level-set partition is a coarsening of the input one.
     """
     nv = np.asarray(new_values, dtype=np.float64).ravel()
     if nv.size != levels.values.size:
         raise ValueError(
             f"expected {levels.values.size} level values, got {nv.size}"
         )
-    return Image(nv[levels.pixel_level], levels.shape)
+    return Image(levels.pixel_level, levels.shape, nv)
 
 
 def histogram(img: Image) -> list[tuple[float, int]]:

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from nfr import (FilterConfig, Image, SpatialConfig, bilateral, decreasing_rearrangement,
-                 direct_nf, make_kernel, nlm, read_pgm, segment, write_pgm)
+                 direct_nf, make_kernel, nlm, read_pgm, segment, snr_measure, write_pgm)
 from nfr import synthetic
-from nfr.cli import (FormatError, _fmt, _write_rows, read_float_csv,
+from nfr.cli import (FormatError, _fmt, _write_rows, load_image, read_float_csv,
                      write_float_csv)
 
 from test_rearrangement import PARITY_CASES, assert_same_levels
@@ -428,15 +428,13 @@ class TestFloatCsv:
     @pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "plain"])
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_bytes_and_roundtrip(self, tmp_path, case, indexed):
+        # a coded image writes the bytes of its float64 copy
         table, index, shape = WRITER_CASES[case]
         table, index = np.array(table), np.array(index, dtype=np.intp)
         values = table[index]
-        img = Image(values, shape)
+        img = Image(index, shape, table) if indexed else Image(values, shape)
         path = tmp_path / "x.csv"
-        if indexed:
-            write_float_csv(path, img, table, index)
-        else:
-            write_float_csv(path, img)
+        write_float_csv(path, img)
         expected = (f"# shape: {' '.join(map(str, shape))}\n"
                     + "".join(f"{v:.17g}\n" for v in values))
         assert path.read_bytes() == expected.encode()
@@ -520,7 +518,7 @@ class TestFloatCsv:
         table = np.unique(rng.integers(0, 256, 250)) / 255.0
         index = rng.integers(0, table.size, n)
         path = tmp_path / "x.csv"
-        write_float_csv(path, Image(table[index], (1024, 1024)), table, index)
+        write_float_csv(path, Image(index, (1024, 1024), table))
         head, body = path.read_bytes().split(b"\n", 1)
         one_line = tmp_path / "one_line.csv"
         one_line.write_bytes(head + b"\n" + body.replace(b"\n", b" "))
@@ -538,6 +536,26 @@ class TestFloatCsv:
             assert (img.table is not None) == (bound < 1), p
             assert np.array_equal(img.data, expected), p
             assert peak <= bound * 8 * expected.size, (p, peak / (8 * expected.size))
+
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["float", "coded"])
+    def test_write_peak_memory(self, tmp_path, coded):
+        # one block of strings at a time, not a string per value of the image
+        n = 1 << 20
+        rng = np.random.default_rng(4)
+        if coded:
+            img = Image(rng.integers(0, 250, n), (1024, 1024), rng.standard_normal(250))
+        else:
+            img = Image(rng.standard_normal(n), (1024, 1024))
+        path = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            write_float_csv(path, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n, peak / (8 * n)
+        assert np.array_equal(read_float_csv(path).data, img.data)
 
 
 def _coded_csv(path, tokens):
@@ -659,6 +677,15 @@ class TestSegmentCommand:
             assert int((mask == 255).sum()) == 64
 
 
+    def test_constant_image_reports_positive_zero_j(self, tmp_path):
+        src = tmp_path / "flat.pgm"
+        write_pgm(src, np.full((8, 8), 7, dtype=np.uint8), 255)
+        r = run("segment", "--input", src, "--prefix", tmp_path / "seg", "--h", "25")
+        assert r.returncode == 0, r.stderr
+        report = json.loads((tmp_path / "seg.report.jsonl").read_text())
+        assert report["j_trace"] == [0.0] and not np.signbit(report["j_trace"][0])
+
+
 class TestBench:
     def test_counts(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -716,6 +743,9 @@ class TestCompare:
         payload = json.loads(r.stdout)
         assert payload["rmse"] > 0
         assert payload["snr"] == pytest.approx(10.0, rel=0.35)
+        # the two standard deviations compare already holds, divided
+        assert payload["snr"] == snr_measure(load_image(squares_pgm)[0],
+                                             load_image(noisy_csv)[0])
 
 
     def test_overflowing_difference_is_4(self, tmp_path, capsys):

@@ -110,9 +110,11 @@ class TestNfStep:
 
 
 class TestFunctionalJ:
-    def test_constant_is_zero(self, gauss):
+    def test_constant_is_zero(self):
         r = Rearrangement(np.full(4, 7.0), np.ones(4))
-        assert functional_j(r, gauss(3.0)) == 0.0
+        for kernel in ("gaussian", "power"):  # +0.0, not -0.0
+            j = functional_j(r, make_kernel(kernel, 3.0))
+            assert j == 0.0 and not np.signbit(j), kernel
 
     def test_two_point_closed_form(self):
         # diagonal terms vanish, the two cross terms are equal:
@@ -226,7 +228,7 @@ class TestIterate:
         r = Rearrangement([2.0, 1.0], [1.0, 3.0])
         trace = iterate(r, FilterConfig(gauss(1e9), max_iterations=max_iterations))
         assert trace.iterations == 1
-        assert trace.j_values[-1] == 0.0
+        assert trace.j_values[-1] == 0.0 and not np.signbit(trace.j_values[-1])
         assert trace.stop_reason == reason
 
     def test_max_iterations_cap(self, gauss):

@@ -175,6 +175,14 @@ class TestLevelParity:
         decreasing_rearrangement(Image.from_array(
             np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
         assert calls == [3, 64 * 64, 64 * 64]
+        # a reconstructed image, new values with ties and both zeros: its
+        # intp level codes are counted, one np.unique over the Q new values
+        _, levels = decreasing_rearrangement(random_quantized(27, size=64, levels=6, scale=1.0))
+        calls.clear()
+        v = [2.5, 0.0, 2.5, -0.0, -1.0, 0.0]
+        assert levels.values.size == len(v)
+        assert_same_levels(reconstruct(levels, v))
+        assert calls == [levels.values.size, 64 * 64]  # the second sorts the float64 copy
 
 
 class TestValueTable:
@@ -216,14 +224,24 @@ class TestValueTable:
         (np.array([0, 1], dtype=np.uint8), [1.0, np.inf], "intensities must be finite"),
         (np.array([0, 1], dtype=np.uint8), [[1.0, 2.0]], "must be 1-D"),
         (np.array([0, 2], dtype=np.uint16), [1.0, 2.0], "codes reach 2"),
-        (np.array([0.0, 1.0]), [1.0, 2.0], "8- or 16-bit codes"),
-    ], ids=["inf", "2-d", "short", "float-codes"])
+        (np.array([0.0, 1.0]), [1.0, 2.0], "integer codes"),
+        (np.array([0, -1]), [1.0, 2.0], "codes reach -1"),
+    ], ids=["inf", "2-d", "short", "float-codes", "negative"])
     def test_rejects_bad_tables(self, codes, table, message):
         with pytest.raises(ValueError, match=message):
             Image(codes, codes.shape, table)
 
 
 class TestReconstruct:
+    def test_coded_output(self):
+        # the level index as codes, the new values as the table: no N-sized gather
+        _, levels = decreasing_rearrangement(random_quantized(12))
+        v = np.random.default_rng(12).standard_normal(levels.values.size)
+        out = reconstruct(levels, v)
+        assert out.raster is levels.pixel_level
+        assert np.array_equal(out.table, v)
+        assert out.data.view(np.int64).tolist() == v[levels.pixel_level].view(np.int64).tolist()
+
     def test_identity_values(self):
         img = random_quantized(10)
         _, levels = decreasing_rearrangement(img)
