@@ -13,11 +13,11 @@ major); PGM output is a rounded, clamped presentation copy, the CSV path is
 the authoritative one for numeric comparisons.  `denoise` writes the PGM
 copy (`--output`, 2-D images only; it warns on stderr when the clamp
 changed pixels), the CSV (`--csv`, any dimension) or both.  A PGM raster
-stays uint8 or uint16 from the read to the level structure (see
-`rearrangement.Image`), and `segment` builds every region mask in one
-reused uint8 buffer.  The nf filter's output is a coded image (its level
-codes and Q new values, see `rearrangement.reconstruct`), whose table the
-CSV writer formats once; any other image is formatted a block at a time.
+is the uint8 or uint16 codes of an identity table (see `rearrangement.Image`),
+and `segment` builds every region mask in one reused uint8 buffer.  The nf
+filter's output is the input's codes with a new table (see `reconstruct`),
+whose distinct values the CSV writer formats once; any other image is
+formatted a block at a time.
 The reader, likewise, names each token of a file whose first block is
 mostly repeats by a uint16 code and converts each distinct token once:
 the image is those codes and the table of the tokens' values as first
@@ -63,7 +63,7 @@ import numpy as np
 
 from .filter1d import FilterConfig, iterate
 from .kernels import make_kernel
-from .noise_metrics import NoiseSpec, add_gaussian_noise, rmse
+from .noise_metrics import NoiseSpec, add_gaussian_noise
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .rearrangement import Image, decreasing_rearrangement, reconstruct
 from .reference_filters import SpatialConfig, bilateral, default_workers, direct_nf, nlm
@@ -88,13 +88,14 @@ def write_float_csv(path, img: Image):
     """Write `img` as float CSV: the shape header, then one %.17g value a line.
 
     The body goes out a block of `_CSV_BLOCK` lines at a time.  A coded
-    image (see `Image`; the nf filter's output is one) has each table entry
-    formatted once, and each block's lines gathered through its codes; any
-    other image is formatted one block at a time.
+    image (see `Image`; the nf filter's output is one) has each distinct bit
+    pattern of its table formatted once, and each block's lines gathered
+    through its codes; any other image is formatted one block at a time.
     """
     coded = img.table is not None
-    if coded:
-        lines = np.array([_fmt(v) + "\n" for v in img.table], dtype=object)
+    if coded:  # a 16-bit raster's table has 2^16 entries for Q values
+        bits, entry = np.unique(img.table.view(np.int64), return_inverse=True)
+        lines = np.array([_fmt(v) + "\n" for v in bits.view(np.float64)], dtype=object)[entry]
     flat = img.raster if coded else img.data
     with open(path, "w") as fh:
         fh.write(f"# shape: {' '.join(str(s) for s in img.shape)}\n")
@@ -435,14 +436,22 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     a, _ = load_image(args.a)
     b, _ = load_image(args.b)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
     with np.errstate(all="ignore"):  # an overflow is refused below
-        d = rmse(a, b)
-        sigma_noise = float(np.std(b.data - a.data))
+        # one N-sized buffer holds |a - b|, its squares, then the squared
+        # deviations of a - b: the bits of max |a - b|, rmse and snr_measure
         sigma_a = float(np.std(a.data))
+        d = a.data - b.data
+        max_abs_diff = float(np.max(np.abs(d, out=d)))
+        rmse_ = math.sqrt(np.mean(np.square(d, out=d)))
+        np.subtract(a.data, b.data, out=d)
+        d -= np.mean(d)
+        sigma_noise = math.sqrt(np.mean(np.square(d, out=d)))
         payload = {
-            "rmse": d,
+            "rmse": rmse_,
             "snr": sigma_a / sigma_noise if sigma_noise > 0.0 and sigma_a > 0.0 else None,
-            "max_abs_diff": float(np.max(np.abs(a.data - b.data))),
+            "max_abs_diff": max_abs_diff,
         }
     for key, v in payload.items():
         if v is not None and not math.isfinite(v):

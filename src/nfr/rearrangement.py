@@ -11,16 +11,15 @@ Filtering operates on the rearrangement; `reconstruct` maps new level values
 back onto the pixel grid through the level structure.  Nothing here depends
 on the image dimension: shape is carried along purely for I/O.
 
-Equal values become one level here and nowhere else, in one of two ways.
-A raster's codes are counted in O(N), by np.bincount over slices, with no
-float64 copy of the image: a PGM's 8- or 16-bit codes stand for
-themselves, a coded image's integer codes for the entries of its value
-table (see `Image`), and codes of equal value merge through one np.unique
-over the table, in O(Q).  Any other image is sorted with np.unique, in
-O(N log N).  Both give bit-identical level structures for the same
-values, and a level at zero is +0.0 on every path.  The level structure
-holds one N-sized intp array, the pixel-to-level index.  `histogram` is
-the same level structure in ascending order.
+Equal values become one level here and nowhere else.  An image's integer
+codes (see `Image`) are its only per-pixel index: they are counted in O(N),
+by np.bincount over slices, with no float64 copy of the image, and codes of
+equal value merge through one np.unique over the value table, in O(Q).
+Float data is first sorted with np.unique, in O(N log N), whose inverse
+becomes its codes.  The level structure maps each code to its level, so it
+holds no per-pixel array of its own, and a level at zero is +0.0 whichever
+zeros the image holds.  `histogram` is the same level structure in
+ascending order.
 """
 
 from __future__ import annotations
@@ -38,16 +37,17 @@ _RASTER_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 class Image:
     """Intensities on a grid of any dimension, flattened in C order.
 
-    `shape` may have any number of extents d >= 1.  A coded image holds
-    integer codes in [0, table.size) beside a `table` (a finite 1-D float64
-    array, in any order and possibly with repeats; the float CSV reader and
-    `reconstruct` build one), and code c stands for table[c].  With no
-    table, an unsigned 8- or 16-bit array is a PGM raster, whose code c
-    stands for c.  Either keeps its codes as given in `raster`, where
-    `decreasing_rearrangement` counts them, and builds its float64 `data`
-    once, on first access, with each table entry's bits.  Any other input
-    is converted to float64 `data` at once and must be finite; its `raster`
-    and `table` are None.  Treat instances as immutable.
+    `shape` may have any number of extents d >= 1.  An image is float64
+    `data`, or integer codes in [0, table.size) beside a `table` (a finite
+    1-D float64 array, in any order and possibly with repeats), where code
+    c stands for table[c].  An unsigned 8- or 16-bit array with no table (a
+    PGM raster) gets the identity table of its 2^8 or 2^16 codes; the float
+    CSV reader and `reconstruct` give their own.  A coded image keeps its
+    codes as given in `raster`, where `decreasing_rearrangement` counts
+    them, and builds its `data` once, on first access, by one gather
+    through the table.  Any other input is converted to float64 `data` at
+    once and must be finite; its `raster` and `table` are None.  Treat
+    instances as immutable.
     """
 
     def __init__(self, data, shape, table=None):
@@ -59,13 +59,13 @@ class Image:
             raise ValueError(
                 f"data has {a.size} samples, shape {self.shape} wants {math.prod(self.shape)}"
             )
+        if table is None and a.dtype in _RASTER_DTYPES:
+            table = np.arange(1 << (8 * a.itemsize), dtype=np.float64)
         self.raster = self.table = None
-        if table is None and a.dtype not in _RASTER_DTYPES:
+        if table is None:
             values = self.data = np.asarray(a, dtype=np.float64).ravel()
         else:
             self.raster = a if a.ndim == 1 else a.ravel()  # a flat array is kept as is
-            if table is None:
-                return
             if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.intp):
                 raise ValueError("a value table needs integer codes that fit intp")
             values = self.table = np.asarray(table, dtype=np.float64)
@@ -80,9 +80,7 @@ class Image:
 
     @cached_property
     def data(self) -> np.ndarray:
-        """Flat float64 intensities (of a raster: built on first access)."""
-        if self.table is None:
-            return self.raster.astype(np.float64)
+        """Flat float64 intensities (of a coded image: built on first access)."""
         return self.table[self.raster]
 
     @property
@@ -101,38 +99,41 @@ class Image:
 
 @dataclass(frozen=True, eq=False)
 class LevelStructure:
-    """Distinct levels of an image and the level index of every pixel.
+    """Distinct levels of a coded image and the level of each of its codes.
 
     values are strictly descending, masses are the positive pixel counts per
-    level, and pixel_level[i] is the index into values for pixel i, so
-    values[pixel_level] reproduces the source image.
+    level, and level_of_code[c] is the index into values for code c of
+    `image` (0 for a code no pixel holds), so
+    values[level_of_code[image.raster]] reproduces the image.  The checks
+    are O(Q) in the table size: `Image` has checked the codes.
     """
 
     values: np.ndarray
     masses: np.ndarray
-    pixel_level: np.ndarray
-    shape: tuple[int, ...]
+    level_of_code: np.ndarray
+    image: Image
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         masses = np.asarray(self.masses, dtype=np.int64)
-        pixel_level = np.asarray(self.pixel_level, dtype=np.intp)
+        level_of_code = np.asarray(self.level_of_code, dtype=np.intp)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "pixel_level", pixel_level)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        object.__setattr__(self, "level_of_code", level_of_code)
+        if self.image.table is None:
+            raise ValueError("a level structure needs a coded image")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-D array")
         if np.any(np.diff(values) >= 0):
             raise ValueError("level values must be strictly descending")
         if masses.shape != values.shape or np.any(masses < 1):
             raise ValueError("each level needs a positive integer mass")
-        if pixel_level.size != int(np.prod(self.shape)):
-            raise ValueError("pixel_level size does not match shape")
-        if int(masses.sum()) != pixel_level.size:
+        if level_of_code.shape != self.image.table.shape:
+            raise ValueError("level_of_code needs one level per table entry")
+        if int(masses.sum()) != self.image.n:
             raise ValueError("masses must sum to the pixel count")
-        if np.any(pixel_level < 0) or np.any(pixel_level >= values.size):
-            raise ValueError("pixel_level contains out-of-range indices")
+        if level_of_code.min() < 0 or level_of_code.max() >= values.size:
+            raise ValueError("level_of_code contains out-of-range levels")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,69 +189,58 @@ def distribution_function(img: Image, q: float) -> int:
     return int(np.count_nonzero(img.data > q))
 
 
-_COUNT_SLICE = 1 << 16  # codes per bincount, whose intp cast is 512 KiB
+_COUNT_SLICE = 1 << 16  # codes per bincount (512 KiB as intp), or the table size
 
 
 def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]:
     """Group the image into descending distinct levels.
 
     Returns the rearrangement (values with real masses, ready for the 1-D
-    filter) and the level structure (integer masses plus the per-pixel level
-    index needed to reconstruct images).  Two groupings:
-
-    - count, in O(N): a raster's codes into 2^8 or 2^16 bins, or a coded
-      image's into one bin per table entry; one np.unique over the table,
-      in O(Q), then merges the bins of equal entries;
-    - sort, in O(N log N): any other image, by np.unique.
-
-    Each yields ascending distinct values, their counts and every pixel's
-    code.  The present values in descending order are the levels, and a
-    lookup table from code to level index (for a table's codes, through
-    the merge) gives pixel_level.  A level at zero is +0.0, whichever zeros
-    the image holds.
+    filter) and the level structure (integer masses plus the level of each
+    code, needed to reconstruct images).  Float data is first sorted by
+    np.unique, in O(N log N), and becomes the coded image of its distinct
+    values and the sort's inverse.  A coded image's codes are counted into
+    one bin per table entry, in O(N); one np.unique over the table, in
+    O(Q), then merges the bins of equal entries.  The present values in
+    descending order are the levels, and a lookup table from code to level
+    index, through the merge, is level_of_code.  A level at zero is +0.0,
+    whichever zeros the image holds.
     """
-    codes, table, merge = img.raster, img.table, None
-    if codes is None:
-        code_values, codes, counts = np.unique(
-            img.data, return_inverse=True, return_counts=True
-        )
-    else:
-        size = 1 << (8 * codes.itemsize) if table is None else table.size
-        counts = np.zeros(size, dtype=np.intp)
-        for a in range(0, codes.size, _COUNT_SLICE):
-            counts += np.bincount(codes[a:a + _COUNT_SLICE], minlength=size)
-        if table is None:
-            code_values = np.arange(size, dtype=np.float64)
-        else:  # equal entries (-0.0 and 0.0 among them) merge into one code
-            code_values, merge = np.unique(table, return_inverse=True)
-            merged = np.zeros(code_values.size, dtype=np.intp)
-            np.add.at(merged, merge, counts)
-            counts = merged
-    present = np.flatnonzero(counts)[::-1]
-    lut = np.empty(counts.size, dtype=np.intp)
+    if img.raster is None:  # float data: the sort's inverse becomes its codes
+        table, codes = np.unique(img.data, return_inverse=True)
+        img = Image(codes, img.shape, table)
+    codes, table = img.raster, img.table
+    counts, step = np.zeros(table.size, dtype=np.intp), max(_COUNT_SLICE, table.size)
+    for a in range(0, codes.size, step):
+        counts += np.bincount(codes[a:a + step], minlength=table.size)
+    # equal entries (-0.0 and 0.0 among them) merge into one code
+    code_values, merge = np.unique(table, return_inverse=True)
+    merged = np.zeros(code_values.size, dtype=np.intp)
+    np.add.at(merged, merge, counts)
+    present = np.flatnonzero(merged)[::-1]
+    lut = np.zeros(merged.size, dtype=np.intp)  # an absent code maps to level 0
     lut[present] = np.arange(present.size)
-    if merge is not None:
-        lut = lut[merge]  # from a table entry through its merged code
-    values, masses = code_values[present] + 0.0, counts[present]  # -0.0 + 0.0 is +0.0
+    values, masses = code_values[present] + 0.0, merged[present]  # -0.0 + 0.0 is +0.0
     rearr = Rearrangement(values, masses.astype(np.float64))
-    levels = LevelStructure(values.copy(), masses, lut[codes], img.shape)
-    return rearr, levels
+    return rearr, LevelStructure(values.copy(), masses, lut[merge], img)
 
 
 def reconstruct(levels: LevelStructure, new_values) -> Image:
     """Build the image whose level sets are those of `levels` with new values.
 
-    A coded image: its codes are levels.pixel_level itself and its table
-    the Q new values, so no N-sized array is built until `data` is read.
-    Equal inputs map to equal outputs by construction, so the output
-    level-set partition is a coarsening of the input one.
+    A coded image: the codes of levels.image itself, and a table whose
+    entry c is the new value of code c's level, so no N-sized array is
+    built until `data` is read.  Equal inputs map to equal outputs by
+    construction, so the output level-set partition is a coarsening of the
+    input one.
     """
     nv = np.asarray(new_values, dtype=np.float64).ravel()
     if nv.size != levels.values.size:
         raise ValueError(
             f"expected {levels.values.size} level values, got {nv.size}"
         )
-    return Image(levels.pixel_level, levels.shape, nv)
+    img = levels.image
+    return Image(img.raster, img.shape, nv[levels.level_of_code])
 
 
 def histogram(img: Image) -> list[tuple[float, int]]:

@@ -80,7 +80,7 @@ def segment_with_trace(img: Image, cfg: FilterConfig, merge_tol: float = 1e-3
     )
     # uint16 labels when they fit: the labels PGM is 16-bit anyway
     dtype = np.uint16 if region_values.size <= 1 << 16 else np.intp
-    labels = region_of_level.astype(dtype)[levels.pixel_level]
+    labels = region_of_level.astype(dtype)[levels.level_of_code][levels.image.raster]
     seg = Segmentation(labels, img.shape, region_values, region_masses)
     return seg, trace
 

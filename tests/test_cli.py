@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from nfr import (FilterConfig, Image, SpatialConfig, bilateral, decreasing_rearrangement,
-                 direct_nf, make_kernel, nlm, read_pgm, segment, snr_measure, write_pgm)
+                 direct_nf, make_kernel, nlm, read_pgm, reconstruct, rmse, segment,
+                 snr_measure, write_pgm)
 from nfr import synthetic
 from nfr.cli import (FormatError, _fmt, _write_rows, load_image, read_float_csv,
                      write_float_csv)
@@ -557,6 +558,27 @@ class TestFloatCsv:
         assert peak <= 8 * n, peak / (8 * n)
         assert np.array_equal(read_float_csv(path).data, img.data)
 
+    def test_formats_each_distinct_value_once(self, tmp_path, monkeypatch):
+        # a 16-bit PGM's filtered image has a table of 2^16 entries (one per
+        # code) that holds its 4000 level values: each is formatted once
+        import nfr.cli
+
+        rng = np.random.default_rng(16)
+        values = rng.permutation(65536)[:4000][rng.integers(0, 4000, (256, 256))]
+        path = tmp_path / "in.pgm"
+        write_pgm(path, values, 65535)
+        img, _ = load_image(path)
+        _, levels = decreasing_rearrangement(img)
+        out = reconstruct(levels, np.sqrt(levels.values) + 0.125)
+        assert out.raster is img.raster and out.table.size == 1 << 16
+        calls = []
+        monkeypatch.setattr(nfr.cli, "_fmt", lambda x: calls.append(x) or _fmt(x))
+        write_float_csv(tmp_path / "coded.csv", out)
+        assert len(calls) <= np.unique(out.table).size == levels.values.size == 4000
+        monkeypatch.undo()
+        write_float_csv(tmp_path / "float.csv", Image(out.data, out.shape))
+        assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
 
 def _coded_csv(path, tokens):
     """Write the byte tokens one a line under a 1-D shape header."""
@@ -747,6 +769,56 @@ class TestCompare:
         assert payload["snr"] == snr_measure(load_image(squares_pgm)[0],
                                              load_image(noisy_csv)[0])
 
+
+    def test_statistics_are_the_metrics(self, monkeypatch, capsys):
+        # one difference gives the bits of rmse, snr_measure and max |a - b|
+        import nfr.cli
+
+        rng = np.random.default_rng(30)
+        images = {}
+        monkeypatch.setattr(nfr.cli, "load_image", lambda path: (images[path], 255))
+        for trial in range(60):
+            n = int(rng.integers(1, 3000))
+            scale = 10.0 ** int(rng.integers(-3, 6))
+            if trial % 3:
+                a = Image(rng.standard_normal(n) * scale + rng.uniform(-2, 2) * scale, (n,))
+            else:  # a raster, coded through its identity table
+                a = Image(rng.integers(0, 256, n).astype(np.uint8), (n,))
+            noise = rng.standard_normal(n) * rng.uniform(0.01, 1.0) * scale
+            b = Image(a.data + noise, (n,)) if trial % 2 else Image(a.data - noise, (n,))
+            images.update(a=a, b=b)
+            assert nfr.cli.main(["compare", "--a", "a", "--b", "b"]) == 0
+            got = json.loads(capsys.readouterr().out)
+            assert got["rmse"] == rmse(a, b)
+            assert got["snr"] == snr_measure(a, b)
+            assert got["max_abs_diff"] == float(np.max(np.abs(a.data - b.data)))
+
+    def test_statistics_peak_memory(self, monkeypatch, capsys):
+        # one N-sized float64 buffer at a time beside the two images
+        import nfr.cli
+
+        n = 1 << 20
+        rng = np.random.default_rng(31)
+        a = Image(rng.standard_normal(n), (1024, 1024))
+        b = Image(a.data + rng.standard_normal(n) * 0.1, (1024, 1024))
+        monkeypatch.setattr(nfr.cli, "load_image", lambda path: ((a, b)[path == "b"], 255))
+        tracemalloc.start()
+        try:
+            assert nfr.cli.main(["compare", "--a", "a", "--b", "b"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n, peak / (8 * n)
+        assert json.loads(capsys.readouterr().out)["rmse"] == rmse(a, b)
+
+    def test_shapes_must_match_is_4(self, tmp_path, capsys):
+        import nfr.cli
+
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, shape in zip(paths, ((2, 3), (3, 2))):
+            write_float_csv(path, Image(np.arange(6.0), shape))
+        assert nfr.cli.main(["compare", "--a", str(paths[0]), "--b", str(paths[1])]) == 4
+        assert capsys.readouterr().err == "error: shapes differ: (2, 3) vs (3, 2)\n"
 
     def test_overflowing_difference_is_4(self, tmp_path, capsys):
         # the differences overflow to inf, which JSON cannot hold

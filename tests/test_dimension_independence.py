@@ -128,11 +128,15 @@ class TestRasterAgainstFloat:
 
         (r1, l1), (r2, l2) = (decreasing_rearrangement(raster),
                               decreasing_rearrangement(copy))
-        for field in ("values", "masses", "pixel_level"):
+        for field in ("values", "masses"):
             got, want = getattr(l1, field), getattr(l2, field)
             assert got.dtype == want.dtype, field
             assert got.tobytes() == want.tobytes(), field
-        assert l1.shape == l2.shape
+        got, want = (lv.level_of_code[lv.image.raster] for lv in (l1, l2))
+        assert got.dtype == want.dtype == np.intp
+        assert got.tobytes() == want.tobytes()
+        assert l1.image.raster is raster.raster  # the PGM's own codes
+        assert l1.image.shape == l2.image.shape
         assert r1.values.tobytes() == r2.values.tobytes()
         assert r1.masses.tobytes() == r2.masses.tobytes()
         assert "data" not in vars(raster)  # counted on the raster

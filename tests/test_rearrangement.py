@@ -1,5 +1,7 @@
 """Distribution function, rearrangement, reconstruction, histogram."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,12 @@ class TestDecreasingRearrangement:
     def test_pixel_level_roundtrip(self):
         img = random_quantized(9)
         _, levels = decreasing_rearrangement(img)
-        assert np.array_equal(levels.values[levels.pixel_level], img.data)
+        assert np.array_equal(levels.values[pixel_level(levels)], img.data)
+
+
+def pixel_level(levels):
+    """The level index of every pixel, composed from the image's codes."""
+    return levels.level_of_code[levels.image.raster]
 
 
 def unique_reference(x):
@@ -100,12 +107,14 @@ def unique_reference(x):
 
 def assert_same_levels(img):
     """The level structure of `img` has the bytes and dtypes of that of its
-    float64 copy; returns it."""
+    float64 copy, the level index of every pixel included; returns it."""
     _, got = decreasing_rearrangement(img)
     _, ref = decreasing_rearrangement(Image(img.data, img.shape))
-    for field in ("values", "masses", "pixel_level"):
-        g, r = getattr(got, field), getattr(ref, field)
+    for field, g, r in (("values", got.values, ref.values),
+                        ("masses", got.masses, ref.masses),
+                        ("pixel_level", pixel_level(got), pixel_level(ref))):
         assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), field
+    assert pixel_level(got).dtype == np.intp
     return got
 
 
@@ -138,7 +147,7 @@ class TestLevelParity:
     def test_matches_unique(self, case):
         img = Image.from_array(PARITY_CASES[case]())
         r, levels = decreasing_rearrangement(img)
-        got = (levels.values, levels.masses, levels.pixel_level)
+        got = (levels.values, levels.masses, pixel_level(levels))
         expected = unique_reference(img.data)
         for g, ref in zip(got, expected):
             assert np.array_equal(g, ref)
@@ -161,28 +170,49 @@ class TestLevelParity:
             return unique(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
-        # PGM rasters: counted, with no np.unique
+        # PGM rasters: counted, then one np.unique over the 2^8 or 2^16
+        # entries of the identity table, never over the N pixels
         decreasing_rearrangement(Image.from_array(
             random_quantized(24, size=64, levels=256, scale=1.0).to_array().astype(np.uint8)))
         decreasing_rearrangement(Image.from_array(_sixteen_bit_sparse().astype(np.uint16)))
-        assert calls == []
+        assert calls == [1 << 8, 1 << 16]
+        calls.clear()
         # codes with a value table: one np.unique over its Q entries
         codes = np.random.Generator(np.random.PCG64(26)).integers(0, 3, (64, 64))
         decreasing_rearrangement(Image(codes.astype(np.uint16), (64, 64), [3.25, -0.5, 0.1]))
         assert calls == [3]
-        # float data, integral or not: sorted, all N values
-        decreasing_rearrangement(random_quantized(24, size=64, levels=256, scale=1.0))
+        # float data, integral or not: sorted, all N values, then the Q
+        # distinct values of the sort are the table
+        img = random_quantized(24, size=64, levels=256, scale=1.0)
+        q = np.unique(img.data).size
+        calls.clear()
+        decreasing_rearrangement(img)
         decreasing_rearrangement(Image.from_array(
             np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
-        assert calls == [3, 64 * 64, 64 * 64]
+        assert calls == [64 * 64, q, 64 * 64, 64 * 64]
         # a reconstructed image, new values with ties and both zeros: its
-        # intp level codes are counted, one np.unique over the Q new values
+        # codes are counted, one np.unique over its table of new values
         _, levels = decreasing_rearrangement(random_quantized(27, size=64, levels=6, scale=1.0))
         calls.clear()
         v = [2.5, 0.0, 2.5, -0.0, -1.0, 0.0]
         assert levels.values.size == len(v)
         assert_same_levels(reconstruct(levels, v))
-        assert calls == [levels.values.size, 64 * 64]  # the second sorts the float64 copy
+        # then the float64 copy: sorted, and its 3 distinct values the table
+        assert calls == [levels.image.table.size, 64 * 64, 3]
+
+    def test_peak_memory_is_the_counts(self):
+        # a 2048^2 uint8 raster: the bins and tables of its 2^8 codes, no
+        # N-sized array (an intp level index would take 32 MiB)
+        raster = np.random.default_rng(28).integers(0, 256, (2048, 2048), dtype=np.uint8)
+        img = Image.from_array(raster)
+        tracemalloc.start()
+        try:
+            _, levels = decreasing_rearrangement(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
+        assert levels.image is img and levels.masses.sum() == raster.size
 
 
 class TestValueTable:
@@ -196,7 +226,8 @@ class TestValueTable:
         r, levels = decreasing_rearrangement(img)
         assert levels.values.tolist() == [7.0, 0.25, -1.5]
         assert levels.masses.tolist() == [2, 1, 1]
-        assert levels.pixel_level.tolist() == [0, 2, 1, 0]
+        assert pixel_level(levels).tolist() == [0, 2, 1, 0]
+        assert levels.level_of_code.tolist() == [2, 1, 0, 0]  # 9.5: absent, level 0
         assert r.masses.tolist() == [2.0, 1.0, 1.0]
 
     def test_negative_zero_level_is_positive(self):
@@ -234,13 +265,34 @@ class TestValueTable:
 
 class TestReconstruct:
     def test_coded_output(self):
-        # the level index as codes, the new values as the table: no N-sized gather
+        # the image's codes, a table of each code's new value: no N-sized gather
         _, levels = decreasing_rearrangement(random_quantized(12))
         v = np.random.default_rng(12).standard_normal(levels.values.size)
         out = reconstruct(levels, v)
-        assert out.raster is levels.pixel_level
-        assert np.array_equal(out.table, v)
-        assert out.data.view(np.int64).tolist() == v[levels.pixel_level].view(np.int64).tolist()
+        assert out.raster is levels.image.raster
+        assert np.array_equal(out.table, v[levels.level_of_code])
+        assert out.data.view(np.int64).tolist() == v[pixel_level(levels)].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("case", ["pgm", "csv", "float"])
+    def test_keeps_the_input_codes(self, case):
+        # a PGM raster's or a coded CSV's own codes; float data: the sort's
+        a = random_quantized(13, size=32, levels=40, scale=1.0).to_array()
+        if case == "pgm":
+            img = Image.from_array(a.astype(np.uint8))
+        elif case == "csv":
+            table, codes = np.unique(a, return_inverse=True)  # a descending table
+            img = Image((table.size - 1 - codes).astype(np.uint16), a.shape, table[::-1])
+        else:
+            img = Image.from_array(a)
+        _, levels = decreasing_rearrangement(img)
+        v = np.linspace(1.0, -1.0, levels.values.size)
+        out = reconstruct(levels, v)
+        if case == "float":
+            assert img.raster is None and out.raster.dtype == np.intp
+            assert np.array_equal(out.raster, np.unique(a, return_inverse=True)[1].ravel())
+        else:
+            assert out.raster is img.raster
+        assert np.array_equal(out.data, v[pixel_level(levels)])
 
     def test_identity_values(self):
         img = random_quantized(10)
@@ -360,13 +412,15 @@ class TestValidation:
         ("values", [], "non-empty 1-D"),
         ("values", [1.0, 2.0], "strictly descending"),
         ("masses", [1, 0], "positive integer mass"),
-        ("pixel_level", [0, 1], "does not match shape"),
+        ("level_of_code", [0, 1], "one level per table entry"),
         ("masses", [1, 1], "sum to the pixel count"),
-        ("pixel_level", [0, 2, 1], "out-of-range"),
-    ], ids=["empty", "ascending", "zero-mass", "size", "mass-sum", "index"])
+        ("level_of_code", [0, 2, 1], "out-of-range"),
+        ("image", Image(np.array([3.0, 1.0, 1.0]), (3,)), "coded image"),
+    ], ids=["empty", "ascending", "zero-mass", "size", "mass-sum", "index", "uncoded"])
     def test_level_structure(self, field, value, message):
-        good = dict(values=[2.0, 1.0], masses=[1, 2], pixel_level=[0, 1, 1],
-                    shape=(3,))
+        image = Image(np.array([0, 1, 1]), (3,), [3.0, 1.0, 7.0])  # 7.0 is absent
+        good = dict(values=[3.0, 1.0], masses=[1, 2], level_of_code=[0, 1, 0],
+                    image=image)
         LevelStructure(**good)
         with pytest.raises(ValueError, match=message):
             LevelStructure(**{**good, field: value})

@@ -101,7 +101,7 @@ class TestDirectNf:
         # pixels that started on one level must still share one value
         _, levels = decreasing_rearrangement(img)
         for lvl in range(levels.values.size):
-            vals = out[levels.pixel_level == lvl]
+            vals = out[levels.level_of_code[levels.image.raster] == lvl]
             assert np.all(vals == vals[0])
 
     def test_worker_count_does_not_change_bits(self, gauss):
