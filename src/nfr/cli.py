@@ -26,9 +26,11 @@ seen, counted like a raster with no float64 copy and no N-sized sort
 block is mostly distinct, or which passes 2^16 distinct tokens, is
 converted a block at a time; a body on one line is cut at spaces.
 `denoise` and `segment` write a one-line JSON report (sorted keys)
-through one writer, `_write_report`, with the pixel count `n` and the
-level count `q` of the rearrangement the run filtered (null for the
-pixel-domain filters); only `segment` adds `region_count`.
+through one writer, `_write_report`, with the pixel count `n`, the
+level count `q` of the rearrangement the run filtered and the pair values
+its passes computed, `pairs_computed` (both null for the pixel-domain
+filters); only `segment` adds `region_count`.  The PGM copy of an nf
+output quantizes its value table and gathers it through the codes.
 `--max-iter` is every filter's one step count, at least 1 (nf and
 `segment` may stop earlier on `--tol`); `denoise` resolves its
 per-filter default first, so the report's `params.max_iter` is the one
@@ -296,14 +298,14 @@ def cmd_denoise(args) -> int:
     if args.max_iter is None:  # resolved here so the report shows the count
         args.max_iter = {"nf": 100, "nf-direct": 10}.get(args.filter, 1)
     iterations = args.max_iter
-    stop_reason = j_trace = q = None
+    stop_reason = j_trace = q = pairs = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
         q = rearr.values.size
         trace = iterate(rearr, _filter_config(args, k))
         out = reconstruct(levels, trace.iterates[-1].values)
-        iterations, stop_reason, j_trace = (trace.iterations, trace.stop_reason,
-                                            trace.j_values)
+        iterations, stop_reason, j_trace, pairs = (
+            trace.iterations, trace.stop_reason, trace.j_values, trace.pairs_computed)
     elif args.filter == "nf-direct":
         out = direct_nf(img, k, iterations, args.scheme)
     else:
@@ -318,15 +320,21 @@ def cmd_denoise(args) -> int:
     if args.output is not None:
         # clamped: rounds outside [0, maxval]; ties go to even, so maxval + 0.5
         # rounds out for an odd maxval and in for an even one
-        x = out.to_array()
         above = np.greater_equal if maxval % 2 else np.greater
-        clamped = int(np.count_nonzero((x < -0.5) | above(x, maxval + 0.5)))
+        if args.filter == "nf":  # coded: quantize the table, count level masses
+            x, masses = trace.iterates[-1].values, levels.masses
+            pixels = quantize(out.table, maxval)[out.raster]
+        else:
+            x, masses = out.data, None
+            pixels = quantize(x, maxval)
+        bad = (x < -0.5) | above(x, maxval + 0.5)
+        clamped = int(np.count_nonzero(bad) if masses is None else masses[bad].sum())
         if clamped:
             keep = ("the --csv output keeps them" if args.csv is not None
                     else "write --csv to keep them")
             print(f"warning: {args.output}: {clamped} of {out.n} pixels clamped "
                   f"to [0, {maxval}]; {keep}", file=sys.stderr)
-        write_pgm(args.output, quantize(x, maxval), maxval)
+        write_pgm(args.output, pixels.reshape(out.shape), maxval)
         outputs.append(args.output)
     if args.csv is not None:
         write_float_csv(args.csv, out)
@@ -335,7 +343,7 @@ def cmd_denoise(args) -> int:
 
     _write_report(args.report or f"{outputs[0]}.report.jsonl", args, k, ticks,
                   outputs, n=img.n, q=q, iterations=iterations,
-                  stop_reason=stop_reason, j_trace=j_trace)
+                  stop_reason=stop_reason, j_trace=j_trace, pairs_computed=pairs)
     return 0
 
 
@@ -370,7 +378,8 @@ def cmd_segment(args) -> int:
     _write_report(args.report or f"{args.prefix}.report.jsonl", args, k, ticks,
                   outputs, n=img.n, q=trace.iterates[0].values.size,
                   iterations=trace.iterations, stop_reason=trace.stop_reason,
-                  j_trace=trace.j_values, region_count=seg.region_count)
+                  j_trace=trace.j_values, pairs_computed=trace.pairs_computed,
+                  region_count=seg.region_count)
     return 0
 
 

@@ -18,12 +18,20 @@ next step.  A block holds at most _BLOCK_BYTES of float64 pair values, so
 memory is a few blocks plus O(Q) vectors, never Q x Q.  A profile with a
 `minus_one` hook (the Gaussian) gives J and the weights from one expm1
 block, and since K_h(v_i - v_j) is symmetric in (i, j) that block takes
-only the columns [a, Q): each unordered pair's weight is computed once and
-used for both (i, j) and (j, i), about Q(Q + r)/2 expm1 values per pass for
-r-row blocks instead of Q^2.  Any other profile gives J from its primitive
-over the block's i < j pairs and the weights from the profile on all Q
-columns.  The fixed scheme recomputes the K(v_0) blocks each step.  In both
-schemes a step applies Q^2 pair weights, and that is what `iterate` counts.
+only the columns right of its diagonal: each unordered pair's weight is
+computed once and used for both (i, j) and (j, i).  Nor does it take the
+columns of levels more than 6.2 h below its rows, whose float64 weights
+are exactly 0.0 (the cut is derived in `_pass`): the block covers a band
+of the pair matrix, and their J terms, each exactly -2 m_i m_j, are summed
+apart from the suffix sums of the masses.  Nothing is approximated; the
+band computes at most Q(Q + r)/2 expm1 values per pass for r-row blocks,
+and a third of Q^2 on noisy squares at h = 25, whose plateaus lie more
+than 6.2 h apart.  Any other profile gives J from its primitive over the
+block's i < j pairs and the weights from the profile on all Q columns.
+The fixed scheme recomputes the K(v_0) blocks each step.  In both schemes
+a step applies Q^2 pair weights, zeros included, and that is what
+`iterate` counts in the kernel; the trace's `pairs_computed` counts the
+values the passes computed.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -48,6 +56,7 @@ from .rearrangement import Rearrangement
 
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_BYTES = 1 << 20  # bytes of float64 pair values per row block (rows * Q * 8)
+_CUT = 6.2  # in units of h: past it a Gaussian weight is exactly 0.0 (see _pass)
 
 
 @dataclass
@@ -77,6 +86,7 @@ class FilterTrace:
     j_values: list[float] = field(default_factory=list)
     sup_norms: list[float] = field(default_factory=list)
     stop_reason: str = "max_iterations"  # "tolerance" | "max_iterations"
+    pairs_computed: int = 0  # pair values the passes computed (see _pass)
 
     @property
     def iterations(self) -> int:
@@ -148,54 +158,95 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
 
 
 def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
-    """One pass over the row blocks of v: J(v), and unless w is None the
+    """One pass over the row blocks of v: J(v), unless w is None the
     [numerator, row sum] of every row of v's next step under the weights
-    K_h(w_i - w_j) (else None).  With the profile's `minus_one` hook, row
-    block [a, b) takes the columns [a, Q) only: its block E = K - 1 of v
-    gives the share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:]
-    with the entries right of the diagonal block doubled, and, plus one in
-    place, the weights, applied to rows [a, b) and, transposed, to the rows
-    right of the block.  Each unordered pair's weight is thus computed once,
-    about Q(Q + r)/2 values per pass for r-row blocks; a single block
-    (r >= Q) is the full-row computation.  Without the hook, J sums
-    m_i m_j g((v_i - v_j)^2) over the block's i < j pairs, and the weights
-    are the profile on all Q columns.  Counts no evaluations: `iterate`
-    counts the Q^2 pair weights of each step it applies.
+    K_h(w_i - w_j) (else None), and the number of pair values computed.
+
+    With the profile's `minus_one` hook (the Gaussian), row block [a, b)
+    takes the columns [a, hi) only.  Its block E = K - 1 of v gives the
+    share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:hi] with the
+    entries right of the diagonal block doubled, and, plus one in place, the
+    weights, applied to rows [a, b) and, transposed, to the rows [b, hi).
+    Each unordered pair's weight is thus computed once.  The columns past
+    hi are the exact zeros of the weights: with hi = max(b, reach[b - 1]),
+    where reach[i] is the first level more than _CUT = 6.2 h below level i
+    (of w too, in the fixed scheme), every such pair has E == -1.0 and
+    K == 0.0 in float64, so it adds 0 to the step and -2 m_i m_j to the sum
+    for J, taken as -2 sum(m[a:b]) S[hi] with S the suffix sums of m.
+
+    The cut: for d >= sqrt(54 ln 2) = 6.118 the true exp(-d^2) is below
+    2^-54, half the float spacing 2^-53 just above -1, so expm1(-d^2) rounds
+    to -1.0 and K = E + 1 to 0.0.  Level j is cut when x_j < fl(x_i - fl(6.2
+    h)), which for floats implies x_i - x_j > fl(6.2 h) exactly; the
+    computed fl(fl(x_i - x_j) / h) is then at least 6.2 (1 - u)^3 and its
+    square above 38.4 (u = 2^-53), where exp(-38.4) = 2.1e-17 is 0.38 of
+    the 2^-54 rounding bound.  The 1.3 % margin over 6.118 leaves room for
+    expm1's own error, which is below one ulp.
+
+    Blocks take _BLOCK_BYTES / 8Q rows.  Once the band is narrower than Q
+    (width = max(reach[i] - i) < Q) they take min(max(width, 64),
+    _BLOCK_BYTES / 16 width) rows if that is more: a band block holds at
+    most rows (rows + width) values, and few rows of a narrow band would
+    spend the pass in the loop.  One buffer of that size holds each block
+    in turn, so no block allocates.  A single block (rows >= Q) is the full-row
+    computation.  Without the hook, J sums m_i m_j g((v_i - v_j)^2) over the
+    block's i < j pairs, and the weights are the profile on all Q columns.
+    The count is of the values the blocks compute (expm1, or g and the
+    profile); `iterate` counts the Q^2 pair weights of each step apart.
     """
     x, m, h = v.values, v.masses, k.h
+    q = x.size
     minus_one = getattr(k.profile, "minus_one", None)
-    rows = max(1, _BLOCK_BYTES // (8 * x.size))
-    nd = None if w is None else np.zeros((x.size, 2))
+    rows = max(1, _BLOCK_BYTES // (8 * q))
+    nd = None if w is None else np.zeros((q, 2))
     rhs = None if w is None else np.stack((m * x, m), axis=1)
-    total = 0.0
-    for a in range(0, x.size, rows):
-        b = min(a + rows, x.size)
-        if minus_one is None:
+    total, pairs = 0.0, 0
+    if minus_one is None:
+        for a in range(0, q, rows):
+            b = min(a + rows, q)
             d = np.subtract.outer(x[a:b], x)
-            upper = np.arange(x.size) > np.arange(a, b)[:, None]
+            upper = np.arange(q) > np.arange(a, b)[:, None]
             g = g_primitive(k, np.square(d[upper]))
             total += float(np.outer(m[a:b], m)[upper] @ g)
+            pairs += g.size
             if w is not None:
                 d = d if w is x else np.subtract.outer(w[a:b], w)
                 nd[a:b] = k.profile(d / h) @ rhs
-            continue
-        # columns [a, Q): the diagonal block, then pairs that stand for
+                pairs += d.size
+        return 2.0 * total, nd, pairs
+    # reach[i]: the first j with x_j < fl(x_i - cut), as -x_j > fl(cut - x_i)
+    cut = _CUT * h
+    reach = np.searchsorted(-x, cut - x, side="right")
+    if w is not None and w is not x:
+        reach = np.maximum(reach, np.searchsorted(-w, cut - w, side="right"))
+    width = int(np.max(reach - np.arange(q)))
+    if width < q:
+        rows = max(rows, min(max(width, 64), _BLOCK_BYTES // (16 * width)))
+    suffix = np.append(np.cumsum(m[::-1])[::-1], 0.0).tolist()  # sum(m[i:])
+    buf = np.empty(min(rows, q) * min(q, rows + width))  # holds any one block
+    for a in range(0, q, rows):
+        b = min(a + rows, q)
+        hi = max(b, int(reach[b - 1]))
+        # columns [a, hi): the diagonal block, then pairs that stand for
         # both (i, j) and (j, i), hence twice their mass in J
-        d = np.subtract.outer(x[a:b], x[a:])
+        d = buf[:(b - a) * (hi - a)].reshape(b - a, hi - a)
+        np.subtract.outer(x[a:b], x[a:hi], out=d)
         d /= h
         e = minus_one(d)
-        c = m[a:].copy()
+        c = m[a:hi].copy()
         c[b - a:] *= 2.0
-        total += float(m[a:b] @ (e @ c))
+        total += float(m[a:b] @ (e @ c)) - 2.0 * float(m[a:b].sum()) * suffix[hi]
+        pairs += e.size
         if w is not None:
-            if w is not x:
-                e = np.subtract.outer(w[a:b], w[a:])
-                e /= h
-                e = minus_one(e)
+            if w is not x:  # J is taken: the weights reuse the buffer
+                np.subtract.outer(w[a:b], w[a:hi], out=d)
+                d /= h
+                e = minus_one(d)
+                pairs += e.size
             e += 1.0  # E -> K in place
-            nd[a:b] += e @ rhs[a:]
-            nd[b:] += e[:, b - a:].T @ rhs[a:b]
-    return (2.0 * total if minus_one is None else 0.0 - (h * h) * total), nd  # +0.0 at J = 0
+            nd[a:b] += e @ rhs[a:hi]
+            nd[b:hi] += e[:, b - a:].T @ rhs[a:b]
+    return 0.0 - (h * h) * total, nd, pairs  # +0.0 at J = 0
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -208,7 +259,10 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
     hook, as twice the sum over i < j, so g_primitive sees Q(Q-1)/2 squared
     differences, not Q^2.  Above one block (Q > 362 at _BLOCK_BYTES = 1 MiB)
     J can change at the ulp level with the block layout: the sum's order,
-    and for the log-radius rule g's table, follow the blocks.
+    and for the log-radius rule g's table, follow the blocks.  With the
+    hook, the pairs more than 6.2 h apart, whose terms are exactly
+    -2 m_i m_j, are summed apart, one term per block, so J can move by an
+    ulp against a sum that takes them in the block's order.
     """
     return _pass(k, v, None)[0]
 
@@ -229,7 +283,8 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
     for n in range(cfg.max_iterations + 1):
         more = n < cfg.max_iterations
         w = (v0 if cfg.scheme == "fixed" else v).values if more else None
-        j, nd = _pass(k, v, w)
+        j, nd, pairs = _pass(k, v, w)
+        trace.pairs_computed += pairs
         if not math.isfinite(j):
             raise ValueError(f"the stopping functional J is {j} at iteration {n}")
         trace.iterates.append(v)

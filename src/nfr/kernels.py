@@ -14,8 +14,9 @@ Each kernel keeps a counter of evaluations on the filtering path, used by
 the complexity benchmarks: `eval_scaled` adds one per value it returns, and
 `filter1d.iterate`, which builds its weights block by block itself, adds Q^2
 for each step it applies, in both schemes: the pair weights the step uses.
-The Gaussian pass computes about Q(Q + r)/2 of them for r-row blocks and
-uses each for both orders of its pair.
+The Gaussian pass computes at most Q(Q + r)/2 of them for r-row blocks,
+none for pairs more than 6.2 h apart (exact zeros), and uses each for both
+orders of its pair.
 
 The primitive g used by the stopping functional comes from the profile's own
 `primitive`: a closed form for the Gaussian, and for the power family at

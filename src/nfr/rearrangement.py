@@ -15,10 +15,11 @@ Equal values become one level here and nowhere else.  An image's integer
 codes (see `Image`) are its only per-pixel index: they are counted in O(N),
 by np.bincount over slices, with no float64 copy of the image, and codes of
 equal value merge through one np.unique over the value table, in O(Q).
-Float data is first sorted with np.unique, in O(N log N), whose inverse
-becomes its codes.  The level structure maps each code to its level, so it
-holds no per-pixel array of its own, and a level at zero is +0.0 whichever
-zeros the image holds.  `histogram` is the same level structure in
+Float data is first sorted and counted by np.unique, in O(N log N), whose
+inverse becomes its codes and whose distinct values need no merge.  The
+level structure maps each code to its level, so it holds no per-pixel
+array of its own, and a level at zero is +0.0 whichever zeros the image
+holds.  `histogram` is the same level structure in
 ascending order.
 """
 
@@ -198,25 +199,28 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     Returns the rearrangement (values with real masses, ready for the 1-D
     filter) and the level structure (integer masses plus the level of each
     code, needed to reconstruct images).  Float data is first sorted by
-    np.unique, in O(N log N), and becomes the coded image of its distinct
-    values and the sort's inverse.  A coded image's codes are counted into
-    one bin per table entry, in O(N); one np.unique over the table, in
-    O(Q), then merges the bins of equal entries.  The present values in
-    descending order are the levels, and a lookup table from code to level
-    index, through the merge, is level_of_code.  A level at zero is +0.0,
+    np.unique, in O(N log N), which also counts its distinct values, and
+    becomes the coded image of those values and the sort's inverse.  Any
+    other coded image's codes are counted into one bin per table entry, in
+    O(N); one np.unique over the table, in O(Q), then merges the bins of
+    equal entries.  The present values in descending order are the levels,
+    and a lookup table from code to level index, through the merge, is
+    level_of_code.  A level at zero is +0.0,
     whichever zeros the image holds.
     """
     if img.raster is None:  # float data: the sort's inverse becomes its codes
-        table, codes = np.unique(img.data, return_inverse=True)
-        img = Image(codes, img.shape, table)
-    codes, table = img.raster, img.table
-    counts, step = np.zeros(table.size, dtype=np.intp), max(_COUNT_SLICE, table.size)
-    for a in range(0, codes.size, step):
-        counts += np.bincount(codes[a:a + step], minlength=table.size)
-    # equal entries (-0.0 and 0.0 among them) merge into one code
-    code_values, merge = np.unique(table, return_inverse=True)
-    merged = np.zeros(code_values.size, dtype=np.intp)
-    np.add.at(merged, merge, counts)
+        code_values, codes, merged = np.unique(img.data, return_inverse=True,
+                                               return_counts=True)
+        img, merge = Image(codes, img.shape, code_values), slice(None)
+    else:
+        codes, table = img.raster, img.table
+        counts, step = np.zeros(table.size, dtype=np.intp), max(_COUNT_SLICE, table.size)
+        for a in range(0, codes.size, step):
+            counts += np.bincount(codes[a:a + step], minlength=table.size)
+        # equal entries (-0.0 and 0.0 among them) merge into one code
+        code_values, merge = np.unique(table, return_inverse=True)
+        merged = np.zeros(code_values.size, dtype=np.intp)
+        np.add.at(merged, merge, counts)
     present = np.flatnonzero(merged)[::-1]
     lut = np.zeros(merged.size, dtype=np.intp)  # an absent code maps to level 0
     lut[present] = np.arange(present.size)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nfr import (FilterConfig, Image, SpatialConfig, bilateral, decreasing_rearrangement,
-                 direct_nf, make_kernel, nlm, read_pgm, reconstruct, rmse, segment,
+                 direct_nf, make_kernel, nlm, quantize, read_pgm, reconstruct, rmse, segment,
                  snr_measure, write_pgm)
 from nfr import synthetic
 from nfr.cli import (FormatError, _fmt, _write_rows, load_image, read_float_csv,
@@ -274,6 +274,29 @@ class TestDenoise:
         assert r.stderr == (f"warning: {out}: 2 of 4 pixels clamped to [0, 255]; "
                             "write --csv to keep them\n")
         assert read_pgm(out)[0].tolist() == [[0, 100], [255, 255]]
+
+    def test_coded_copy_is_the_copy_of_the_values(self, tmp_path):
+        # a few-level CSV, read as codes: nf's PGM copy comes from its value
+        # table and the level masses, nf-direct's from its float64 values;
+        # the levels stay apart at h = 1, so both copies and counts agree
+        src = tmp_path / "in.csv"
+        table = np.array([-300.25, -0.5, 17.7, 128.49, 255.5, 300.0])
+        codes = np.random.default_rng(31).integers(0, table.size, (32, 32))
+        write_float_csv(src, Image(codes.astype(np.uint8), codes.shape, table))
+        x = table[codes]
+        clamped = int(np.count_nonzero((x < -0.5) | (x >= 255.5)))  # 255.5 rounds to 256
+        assert read_float_csv(src).table is not None and 0 < clamped < x.size
+        for name in ("nf", "nf-direct"):
+            out, csv = tmp_path / f"{name}.pgm", tmp_path / f"{name}.csv"
+            r = run("denoise", "--input", src, "--output", out, "--csv", csv,
+                    "--h", "1", "--filter", name, "--max-iter", "2")
+            assert r.returncode == 0, r.stderr
+            assert r.stderr == (f"warning: {out}: {clamped} of {x.size} pixels clamped "
+                                "to [0, 255]; the --csv output keeps them\n")
+            values = read_float_csv(csv).to_array()
+            assert np.allclose(values, x, rtol=1e-12, atol=0.0)
+            want = quantize(values, 255)
+            assert out.read_bytes() == b"P5\n32 32\n255\n" + want.tobytes()
 
     def test_16bit_roundtrip(self, tmp_path):
         src = tmp_path / "deep.pgm"
@@ -1073,7 +1096,8 @@ class TestReport:
 
         monkeypatch.delenv("NFR_THREADS", raising=False)
         keys = {"command", "params", "n", "q", "iterations", "stop_reason",
-                "j_trace", "kernel_evaluations", "timings_ms", "outputs"}
+                "j_trace", "kernel_evaluations", "pairs_computed", "timings_ms",
+                "outputs"}
         run_params = {"command", "input", "kernel", "h", "p", "scheme",
                       "max_iter", "tol", "report"}
         levels = np.unique(synthetic.squares(16).to_array().astype(np.uint8)).size
@@ -1090,9 +1114,13 @@ class TestReport:
             assert set(report["timings_ms"]) == {"read", "filter", "write"}
             assert report["n"] == 16 * 16, name
             assert report["q"] == (levels if name == "nf" else None), name
-            if name != "nf":
+            if name == "nf":  # one block: each pass computes Q^2 values
+                assert report["pairs_computed"] == (
+                    (report["iterations"] + 1) * levels * levels)
+            else:
                 assert report["stop_reason"] is None, name
                 assert report["j_trace"] is None, name
+                assert report["pairs_computed"] is None, name
 
         rc = nfr.cli.main(["segment", "--input", str(squares_pgm),
                            "--prefix", str(tmp_path / "seg"), "--h", "25",
@@ -1101,6 +1129,7 @@ class TestReport:
         report = json.loads((tmp_path / "seg.json").read_text())
         assert set(report) == keys | {"region_count"}
         assert (report["n"], report["q"]) == (16 * 16, levels)
+        assert report["pairs_computed"] == (report["iterations"] + 1) * levels * levels
         assert set(report["params"]) == run_params | {"prefix", "merge_tol"}
         assert set(report["timings_ms"]) == {"read", "filter", "write"}
 

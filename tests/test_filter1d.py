@@ -11,17 +11,20 @@ import nfr.kernels
 from conftest import random_quantized
 from nfr import (
     FilterConfig,
+    GaussianProfile,
     Kernel,
     NoiseSpec,
     Rearrangement,
     add_gaussian_noise,
     decreasing_rearrangement,
+    direct_nf,
     expansion_residual,
     functional_j,
     g_primitive,
     iterate,
     make_kernel,
     nf_step,
+    reconstruct,
     synthetic,
 )
 
@@ -381,7 +384,7 @@ class TestGaussianPass:
         k = make_kernel("gaussian", h)
         v, w = pass_inputs(362, scheme)
         assert nfr.filter1d._BLOCK_BYTES // (8 * 362) >= 362
-        j, nd = nfr.filter1d._pass(k, v, w)
+        j, nd, _ = nfr.filter1d._pass(k, v, w)
         j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
         assert j == j_ref
         assert np.array_equal(nd, nd_ref)
@@ -397,7 +400,7 @@ class TestGaussianPass:
             monkeypatch.setattr(nfr.filter1d, "_BLOCK_BYTES", rows * 8 * q)
         k = make_kernel("gaussian", h)
         v, w = pass_inputs(q, scheme)
-        j, nd = nfr.filter1d._pass(k, v, w)
+        j, nd, _ = nfr.filter1d._pass(k, v, w)
         j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
         np.testing.assert_allclose(j, j_ref, rtol=1e-12, atol=1e-12 * abs(j_ref))
         for col in range(2):
@@ -432,6 +435,154 @@ class TestGaussianPass:
                                          max_iterations=4))
         assert trace.iterations == 4
         assert k.evaluations == weight_sets * q * q
+
+
+def full_column_pass(k, v, w):
+    """`_pass`'s Gaussian branch before the band: every row block [a, b),
+    of _BLOCK_BYTES / 8Q rows, takes all the columns [a, Q).  The reference
+    for the band, which drops the columns whose weights are exact zeros."""
+    x, m, h = v.values, v.masses, k.h
+    rows = max(1, nfr.filter1d._BLOCK_BYTES // (8 * x.size))
+    nd = None if w is None else np.zeros((x.size, 2))
+    rhs = None if w is None else np.stack((m * x, m), axis=1)
+    total, pairs = 0.0, 0
+    for a in range(0, x.size, rows):
+        b = min(a + rows, x.size)
+        e = k.profile.minus_one(np.subtract.outer(x[a:b], x[a:]) / h)
+        c = m[a:].copy()
+        c[b - a:] *= 2.0
+        total += float(m[a:b] @ (e @ c))
+        pairs += e.size
+        if w is not None:
+            if w is not x:
+                e = k.profile.minus_one(np.subtract.outer(w[a:b], w[a:]) / h)
+                pairs += e.size
+            e += 1.0
+            nd[a:b] += e @ rhs[a:]
+            nd[b:] += e[:, b - a:].T @ rhs[a:b]
+    return 0.0 - (h * h) * total, nd, pairs
+
+
+def spread_levels(q, ratio):
+    """q distinct levels over [0, 255) with masses 1..8, and h = 255 / ratio."""
+    rng = np.random.default_rng(int(ratio * 10) + q)
+    return (Rearrangement(np.sort(rng.uniform(0, 255, q))[::-1],
+                          rng.integers(1, 9, q).astype(float)), 255.0 / ratio)
+
+
+class RecordingGaussian(GaussianProfile):
+    """The Gaussian profile, recording the shape of every block it computes."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def minus_one(self, e):
+        self.shapes.append(e.shape)
+        return super().minus_one(e)
+
+
+RATIOS = [0.1, 1.0, 13.0, 31.0, 300.0, 2600.0]  # range / h
+
+
+class TestExactBand:
+    """The Gaussian pass skips only pairs whose float64 weight is 0.0."""
+
+    @pytest.mark.parametrize("h", [1e-3, 0.098, 1.0, 25.0, 250.0, 3e5])
+    @pytest.mark.parametrize("xi", [0.0, 1.0, -17.5, 255.0, 65535.0])
+    def test_cut_rounds_to_minus_one(self, xi, h):
+        # the levels one ulp either side of fl(x_i - fl(6.2 h)), the cut
+        x = xi * h
+        t = x - nfr.filter1d._CUT * h
+        xs = np.array([x, np.nextafter(t, np.inf), t, np.nextafter(t, -np.inf)])
+        # as _pass finds reach: only the last level is more than 6.2 h below
+        assert np.searchsorted(-xs, nfr.filter1d._CUT * h - xs[:1], side="right")[0] == 3
+        d = np.subtract.outer(xs[:1], xs[1:])
+        d /= h
+        assert np.all(np.abs(d - 6.2) < 1e-9)
+        e = GaussianProfile().minus_one(d)
+        assert e.tolist() == [[-1.0, -1.0, -1.0]]
+        assert (e + 1.0).tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_cut_has_a_margin(self):
+        # exp(-d^2) < 2^-54 from d = sqrt(54 ln 2) = 6.118 on; short of that
+        # the weight is not zero, so the cut cannot move much further in
+        d = np.concatenate((np.linspace(6.2, 40.0, 1001), [1e10, np.inf]))
+        assert np.all(np.expm1(-(d * d)) == -1.0)
+        assert np.expm1(-(6.0 * 6.0)) > -1.0
+        assert math.sqrt(54.0 * math.log(2.0)) < 6.12 < nfr.filter1d._CUT
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("ratio", RATIOS[2:])  # a band narrower than 6.2 h
+    def test_dropped_pairs_are_exact_zeros(self, ratio, scheme):
+        q = 1500  # at least 87 rows per block, 18 MB per full Q x Q matrix
+        v, h = spread_levels(q, ratio)
+        w = v.values if scheme == "varying" else spread_levels(q, ratio + 1.0)[0].values
+        profile = RecordingGaussian()
+        nfr.filter1d._pass(Kernel(profile, h), v, w)
+        # blocks come in row order, for the fixed scheme as (v, w) pairs
+        shapes = profile.shapes[::2] if scheme == "fixed" else profile.shapes
+        assert len(shapes) > 1
+        hi, a = np.empty(q, dtype=int), 0
+        for rows, cols in shapes:
+            hi[a:a + rows] = a + cols
+            a += rows
+        assert a == q
+        dropped = np.arange(q) >= hi[:, None]  # pairs j > i right of the band
+        assert dropped.any()
+        for values in (v.values, w):
+            k_full = GaussianProfile().minus_one(np.subtract.outer(values, values) / h) + 1.0
+            assert np.all(k_full[dropped] == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_band_matches_the_full_column_pass(self, ratio, scheme, monkeypatch):
+        # Q = 2000: blocks of 65 rows (the floor), or of 68 and 163 rows
+        # where the band is 13 and 31 h over 255 (width about 950 and 400)
+        v0, h = spread_levels(2000, ratio)
+        cfg = FilterConfig(make_kernel("gaussian", h), scheme=scheme,
+                           stop_tolerance=1e-6, max_iterations=5)
+        band = iterate(v0, cfg)
+        monkeypatch.setattr(nfr.filter1d, "_pass", full_column_pass)
+        ref = iterate(v0, cfg)
+        assert (band.iterations, band.stop_reason) == (ref.iterations, ref.stop_reason)
+        assert band.pairs_computed <= ref.pairs_computed
+        np.testing.assert_allclose(band.j_values, ref.j_values, rtol=1e-12,
+                                   atol=1e-12 * ref.j_values[0])
+        for got, want in zip(band.iterates, ref.iterates, strict=True):
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                       atol=1e-12 * 255.0)
+
+    def test_multi_block_band_matches_direct_nf(self):
+        # 64^2 float noisy squares: Q = N = 4096, 32-row blocks, and plateaus
+        # far enough apart that a third of the pairs are computed
+        img = add_gaussian_noise(synthetic.squares(64), NoiseSpec(10.0, 7))
+        rearr, levels = decreasing_rearrangement(img)
+        q, k = rearr.values.size, make_kernel("gaussian", 25.0)
+        trace = iterate(rearr, FilterConfig(k, stop_tolerance=1e-300, max_iterations=3))
+        assert q == 4096 and trace.pairs_computed < 0.5 * 4 * q * q
+        got = reconstruct(levels, trace.iterates[-1].values).data
+        want = direct_nf(img, make_kernel("gaussian", 25.0), 3, "varying", workers=1).data
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scheme, blocks", [("varying", 5), ("fixed", 8)])
+    def test_pairs_computed(self, scheme, blocks, monkeypatch):
+        # one block: each Q x Q block is computed whole, as the full-column
+        # pass does, though the band is narrower than Q.  Four steps and a
+        # last J: the fixed scheme's w block is its own after the first pass
+        v0 = decreasing_rearrangement(random_quantized(12))[0]
+        q = v0.values.size
+        cfg = FilterConfig(make_kernel("gaussian", 20.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=4)
+        band = iterate(v0, cfg)
+        assert np.searchsorted(-v0.values, 124.0 - v0.values[0], side="right") < q
+        assert band.pairs_computed == blocks * q * q
+        # several plateaus and blocks: below the full-column count
+        squares = decreasing_rearrangement(noisy_squares_32())[0]
+        band_squares = iterate(squares, cfg)
+        monkeypatch.setattr(nfr.filter1d, "_pass", full_column_pass)
+        assert iterate(v0, cfg).pairs_computed == band.pairs_computed
+        full = iterate(squares, cfg).pairs_computed
+        assert band_squares.pairs_computed < full
 
 
 class PlainGaussian:

@@ -161,6 +161,20 @@ class TestLevelParity:
             assert np.array_equal(np.signbit(levels.values),
                                   np.signbit(expected[0]))
 
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_float_data_is_the_merged_sort(self, case):
+        # the sort's table through the general merge gives the same bytes
+        img = Image.from_array(PARITY_CASES[case]())
+        table, codes = np.unique(img.data, return_inverse=True)
+        r, got = decreasing_rearrangement(img)
+        r_ref, ref = decreasing_rearrangement(Image(codes, img.shape, table))
+        for field in ("values", "masses", "level_of_code"):
+            g, want = getattr(got, field), getattr(ref, field)
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), field
+        for a, b in ((got.image.raster, ref.image.raster), (got.image.table, ref.image.table),
+                     (r.values, r_ref.values), (r.masses, r_ref.masses)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_unique_sorts_a_table_or_the_data_never_a_raster(self, monkeypatch):
         calls = []
         unique = np.unique
@@ -181,15 +195,14 @@ class TestLevelParity:
         codes = np.random.Generator(np.random.PCG64(26)).integers(0, 3, (64, 64))
         decreasing_rearrangement(Image(codes.astype(np.uint16), (64, 64), [3.25, -0.5, 0.1]))
         assert calls == [3]
-        # float data, integral or not: sorted, all N values, then the Q
-        # distinct values of the sort are the table
+        # float data, integral or not: sorted and counted, all N values at
+        # once; the sort's distinct values are the table, with no merge
         img = random_quantized(24, size=64, levels=256, scale=1.0)
-        q = np.unique(img.data).size
         calls.clear()
         decreasing_rearrangement(img)
         decreasing_rearrangement(Image.from_array(
             np.arange(64 * 64).reshape(64, 64) * 0.25 + 0.1))
-        assert calls == [64 * 64, q, 64 * 64, 64 * 64]
+        assert calls == [64 * 64, 64 * 64]
         # a reconstructed image, new values with ties and both zeros: its
         # codes are counted, one np.unique over its table of new values
         _, levels = decreasing_rearrangement(random_quantized(27, size=64, levels=6, scale=1.0))
@@ -198,7 +211,7 @@ class TestLevelParity:
         assert levels.values.size == len(v)
         assert_same_levels(reconstruct(levels, v))
         # then the float64 copy: sorted, and its 3 distinct values the table
-        assert calls == [levels.image.table.size, 64 * 64, 3]
+        assert calls == [levels.image.table.size, 64 * 64]
 
     def test_peak_memory_is_the_counts(self):
         # a 2048^2 uint8 raster: the bins and tables of its 2^8 codes, no
