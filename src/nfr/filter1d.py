@@ -230,7 +230,8 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
         # columns [a, hi): the diagonal block, then pairs that stand for
         # both (i, j) and (j, i), hence twice their mass in J
         d = buf[:(b - a) * (hi - a)].reshape(b - a, hi - a)
-        np.subtract.outer(x[a:b], x[a:hi], out=d)
+        d[...] = x[a:b, None]  # fill, subtract in place: subtract.outer's bits, 2/3 the time
+        d -= x[a:hi]
         d /= h
         e = minus_one(d)
         c = m[a:hi].copy()
@@ -239,7 +240,8 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
         pairs += e.size
         if w is not None:
             if w is not x:  # J is taken: the weights reuse the buffer
-                np.subtract.outer(w[a:b], w[a:hi], out=d)
+                d[...] = w[a:b, None]
+                d -= w[a:hi]
                 d /= h
                 e = minus_one(d)
                 pairs += e.size

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +86,7 @@ def _nf_pixel_pass(um, vals, level_sums, level_counts, k, workers):
 
     spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if workers > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: 5 ms of start-up
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda s: run(*s), spans))
     else:

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through subprocess: formats, reports, exit codes."""
 
+import gc
 import json
 import os
 import random
@@ -1135,7 +1136,9 @@ class TestReport:
 
 
 class TestStartup:
-    def test_cli_import_loads_no_scipy(self, tmp_path):
+    @staticmethod
+    def child_modules(tmp_path, name):
+        """The modules `name` and `name.*` that `import nfr.cli` loads in a child."""
         import nfr
 
         # As in run_cli of test_acceptance: the child runs elsewhere, so it
@@ -1145,9 +1148,37 @@ class TestStartup:
         if env.get("PYTHONPATH"):
             src += os.pathsep + env["PYTHONPATH"]
         env["PYTHONPATH"] = src
-        code = ("import nfr.cli, sys; print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
+        code = (f"import nfr.cli, sys; print(sorted(m for m in sys.modules "
+                f"if m == {name!r} or m.startswith({name + '.'!r})))")
         r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "[]"
+        return r.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self.child_modules(tmp_path, "scipy") == "[]"
+
+    def test_cli_import_loads_no_thread_pool(self, tmp_path):
+        # only direct_nf with more than one worker imports it
+        assert self.child_modules(tmp_path, "concurrent") == "[]"
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_run_freezes_the_heap_then_exits_with_main(self, monkeypatch, code):
+        import nfr.cli
+
+        calls = []
+        monkeypatch.setattr(nfr.cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(nfr.cli, "main", lambda argv=None: calls.append("main") or code)
+        with pytest.raises(SystemExit) as exc:
+            nfr.cli.run()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == code
+
+    def test_main_freezes_nothing(self, tmp_path, squares_pgm):
+        import nfr.cli
+
+        frozen = gc.get_freeze_count()
+        rc = nfr.cli.main(["denoise", "--input", str(squares_pgm), "--h", "25",
+                           "--csv", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert gc.get_freeze_count() == frozen
