@@ -428,18 +428,18 @@ def cmd_bench(args) -> int:
         rearr, _ = decreasing_rearrangement(img)
         k = make_kernel(args.kernel, args.h, args.p)
 
-        evals, ms = [], []
+        evals, ms, results = [], [], []
         # one iterate step: the blocked pass that denoise runs, then J of its result
         for run in (lambda: iterate(rearr, FilterConfig(k, max_iterations=1)),
                     lambda: direct_nf(img, k, 1, "varying")):
             k.reset_evaluations()
             t0 = time.perf_counter()
-            run()
+            results.append(run())
             ms.append(f"{(time.perf_counter() - t0) * 1e3:.3f}")
             evals.append(k.evaluations)
-        rows.append((n, rearr.values.size, *evals, n * n, *ms))
+        rows.append((n, rearr.values.size, *evals, n * n, *ms, results[0].pairs_computed))
     with open(args.output, "w") as fh:
-        fh.write("n,q,evals_1d,evals_direct,evals_naive,ms_1d,ms_direct\n")
+        fh.write("n,q,evals_1d,evals_direct,evals_naive,ms_1d,ms_direct,pairs_1d\n")
         fh.writelines(",".join(map(str, r)) + "\n" for r in rows)
     return 0
 

@@ -12,26 +12,25 @@ Two weighting schemes exist: "varying" re-reads the weights from the
 current iterate (m = n), "fixed" keeps the weights of the initial one
 (m = 0).
 
-`iterate` makes one pass per iteration over row blocks [a, b) of the Q x Q
-pair matrix, and each block gives its share of J(v_n) and its rows of the
-next step.  A block holds at most _BLOCK_BYTES of float64 pair values, so
-memory is a few blocks plus O(Q) vectors, never Q x Q.  A profile with a
-`minus_one` hook (the Gaussian) gives J and the weights from one expm1
-block, and since K_h(v_i - v_j) is symmetric in (i, j) that block takes
-only the columns right of its diagonal: each unordered pair's weight is
-computed once and used for both (i, j) and (j, i).  Nor does it take the
-columns of levels more than 6.2 h below its rows, whose float64 weights
-are exactly 0.0 (the cut is derived in `_pass`): the block covers a band
-of the pair matrix, and their J terms, each exactly -2 m_i m_j, are summed
-apart from the suffix sums of the masses.  Nothing is approximated; the
-band computes at most Q(Q + r)/2 expm1 values per pass for r-row blocks,
-and a third of Q^2 on noisy squares at h = 25, whose plateaus lie more
-than 6.2 h apart.  Any other profile gives J from its primitive over the
-block's i < j pairs and the weights from the profile on all Q columns.
-The fixed scheme recomputes the K(v_0) blocks each step.  In both schemes
-a step applies Q^2 pair weights, zeros included, and that is what
-`iterate` counts in the kernel; the trace's `pairs_computed` counts the
-values the passes computed.
+`iterate` makes one pass per iteration, one loop over row blocks [a, b) of
+the Q x Q pair matrix for every profile, and each block gives its share of
+J(v_n) and its rows of the next step.  A block holds at most _BLOCK_BYTES
+of float64 pair values, so memory is a few blocks plus O(Q) vectors, never
+Q x Q.  As K_h(v_i - v_j) is symmetric in (i, j), a block takes only the
+columns right of its diagonal: each unordered pair's weight is computed
+once for both (i, j) and (j, i), at most Q(Q + r)/2 weights per step for
+r-row blocks.  A profile with a `minus_one` hook (the Gaussian) gives J and
+the weights from one expm1 block, and drops the columns of levels more
+than 6.2 h below the block's rows, whose float64 weights are exactly 0.0
+(the cut is derived in `_pass`): its blocks cover a band of the pair
+matrix, and the J terms of the dropped pairs, each exactly -2 m_i m_j, are
+summed apart from the suffix sums of the masses.  Nothing is approximated;
+the band computes a third of Q^2 on noisy squares at h = 25, whose
+plateaus lie more than 6.2 h apart.  Any other profile gives J from its
+primitive over the Q(Q - 1)/2 pairs i < j.  The fixed scheme recomputes
+the K(v_0) blocks each step.  In both schemes a step applies Q^2 pair
+weights, zeros included, and that is what `iterate` counts in the kernel;
+the trace's `pairs_computed` counts the values the passes computed.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -162,17 +161,19 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     [numerator, row sum] of every row of v's next step under the weights
     K_h(w_i - w_j) (else None), and the number of pair values computed.
 
-    With the profile's `minus_one` hook (the Gaussian), row block [a, b)
-    takes the columns [a, hi) only.  Its block E = K - 1 of v gives the
-    share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:hi] with the
-    entries right of the diagonal block doubled, and, plus one in place, the
-    weights, applied to rows [a, b) and, transposed, to the rows [b, hi).
-    Each unordered pair's weight is thus computed once.  The columns past
-    hi are the exact zeros of the weights: with hi = max(b, reach[b - 1]),
-    where reach[i] is the first level more than _CUT = 6.2 h below level i
-    (of w too, in the fixed scheme), every such pair has E == -1.0 and
-    K == 0.0 in float64, so it adds 0 to the step and -2 m_i m_j to the sum
-    for J, taken as -2 sum(m[a:b]) S[hi] with S the suffix sums of m.
+    One loop serves every profile: row block [a, b) takes the columns
+    [a, hi) only, and its weights are applied to rows [a, b) and,
+    transposed, to the rows [b, hi), so each unordered pair's weight is
+    computed once (K is even, and fl(x_i - x_j) = -fl(x_j - x_i)).  With
+    the `minus_one` hook (the Gaussian), the block E = K - 1 of v gives the
+    share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:hi] with
+    the entries right of the diagonal block doubled, and, plus one in
+    place, the weights.  The columns past hi are the exact zeros of the
+    weights: with hi = max(b, reach[b - 1]), where reach[i] is the first
+    level more than _CUT = 6.2 h below level i (of w too, in the fixed
+    scheme), every such pair has E == -1.0 and K == 0.0 in float64, so it
+    adds 0 to the step and -2 m_i m_j to the sum for J, taken as
+    -2 sum(m[a:b]) S[hi] with S the suffix sums of m.
 
     The cut: for d >= sqrt(54 ln 2) = 6.118 the true exp(-d^2) is below
     2^-54, half the float spacing 2^-53 just above -1, so expm1(-d^2) rounds
@@ -188,10 +189,10 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     _BLOCK_BYTES / 16 width) rows if that is more: a band block holds at
     most rows (rows + width) values, and few rows of a narrow band would
     spend the pass in the loop.  One buffer of that size holds each block
-    in turn, so no block allocates.  A single block (rows >= Q) is the full-row
-    computation.  Without the hook, J sums m_i m_j g((v_i - v_j)^2) over the
-    block's i < j pairs, and the weights are the profile on all Q columns.
-    The count is of the values the blocks compute (expm1, or g and the
+    in turn, so no block allocates.  A single block (rows >= Q) is the
+    full-row computation.  Without the hook, hi = Q, and J is twice the sum
+    of m_i m_j g((v_i - v_j)^2) over the pairs i < j of the blocks.  The
+    count is of the values the blocks compute (expm1, or g and the
     profile); `iterate` counts the Q^2 pair weights of each step apart.
     """
     x, m, h = v.values, v.masses, k.h
@@ -201,21 +202,9 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     nd = None if w is None else np.zeros((q, 2))
     rhs = None if w is None else np.stack((m * x, m), axis=1)
     total, pairs = 0.0, 0
-    if minus_one is None:
-        for a in range(0, q, rows):
-            b = min(a + rows, q)
-            d = np.subtract.outer(x[a:b], x)
-            upper = np.arange(q) > np.arange(a, b)[:, None]
-            g = g_primitive(k, np.square(d[upper]))
-            total += float(np.outer(m[a:b], m)[upper] @ g)
-            pairs += g.size
-            if w is not None:
-                d = d if w is x else np.subtract.outer(w[a:b], w)
-                nd[a:b] = k.profile(d / h) @ rhs
-                pairs += d.size
-        return 2.0 * total, nd, pairs
-    # reach[i]: the first j with x_j < fl(x_i - cut), as -x_j > fl(cut - x_i)
-    cut = _CUT * h
+    # reach[i]: the first j with x_j < fl(x_i - cut), as -x_j > fl(cut - x_i);
+    # without the hook no weight is known to be 0.0: no cut, and reach = Q
+    cut = math.inf if minus_one is None else _CUT * h
     reach = np.searchsorted(-x, cut - x, side="right")
     if w is not None and w is not x:
         reach = np.maximum(reach, np.searchsorted(-w, cut - w, side="right"))
@@ -226,29 +215,40 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     buf = np.empty(min(rows, q) * min(q, rows + width))  # holds any one block
     for a in range(0, q, rows):
         b = min(a + rows, q)
-        hi = max(b, int(reach[b - 1]))
-        # columns [a, hi): the diagonal block, then pairs that stand for
-        # both (i, j) and (j, i), hence twice their mass in J
-        d = buf[:(b - a) * (hi - a)].reshape(b - a, hi - a)
+        r, hi = b - a, max(b, int(reach[b - 1]))
+        d = buf[:r * (hi - a)].reshape(r, hi - a)
         d[...] = x[a:b, None]  # fill, subtract in place: subtract.outer's bits, 2/3 the time
         d -= x[a:hi]
-        d /= h
-        e = minus_one(d)
-        c = m[a:hi].copy()
-        c[b - a:] *= 2.0
-        total += float(m[a:b] @ (e @ c)) - 2.0 * float(m[a:b].sum()) * suffix[hi]
-        pairs += e.size
-        if w is not None:
-            if w is not x:  # J is taken: the weights reuse the buffer
-                d[...] = w[a:b, None]
-                d -= w[a:hi]
+        if minus_one is None:  # g of the pairs i < j: the diagonal block's triangle, then [b, Q)
+            upper = np.arange(r)[:, None] < np.arange(r)
+            g = g_primitive(k, np.square(d[:, :r][upper]))
+            rest = g_primitive(k, np.square(d[:, r:]))
+            total += float(np.outer(m[a:b], m[a:b])[upper] @ g) + float(m[a:b] @ (rest @ m[b:]))
+            pairs += g.size + rest.size
+        else:  # E = K - 1 gives J, with twice the mass right of the diagonal block
+            d /= h
+            e = minus_one(d)
+            c = m[a:hi].copy()
+            c[r:] *= 2.0
+            total += float(m[a:b] @ (e @ c)) - 2.0 * float(m[a:b].sum()) * suffix[hi]
+            pairs += e.size
+        if w is None:
+            continue
+        if w is not x:  # J is taken: the weights reuse the buffer
+            d[...] = w[a:b, None]
+            d -= w[a:hi]
+            if minus_one is not None:
                 d /= h
                 e = minus_one(d)
                 pairs += e.size
+        if minus_one is None:
+            e = k.profile(d / h)
+            pairs += e.size
+        else:
             e += 1.0  # E -> K in place
-            nd[a:b] += e @ rhs[a:hi]
-            nd[b:hi] += e[:, b - a:].T @ rhs[a:b]
-    return 0.0 - (h * h) * total, nd, pairs  # +0.0 at J = 0
+        nd[a:b] += e @ rhs[a:hi]
+        nd[b:hi] += e[:, r:].T @ rhs[a:b]
+    return 0.0 + (2.0 if minus_one is None else -(h * h)) * total, nd, pairs  # +0.0 at J = 0
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -257,14 +257,15 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
     g is the kernel primitive (`g_primitive`), so dJ/dv_i recovers the
     filter's own weights K_h(v_i - v_j) — the varying-scheme iteration
     descends this functional.  Zero exactly when v is constant.  Taken one
-    row block at a time (see `_pass`): for a profile without the `minus_one`
-    hook, as twice the sum over i < j, so g_primitive sees Q(Q-1)/2 squared
-    differences, not Q^2.  Above one block (Q > 362 at _BLOCK_BYTES = 1 MiB)
-    J can change at the ulp level with the block layout: the sum's order,
-    and for the log-radius rule g's table, follow the blocks.  With the
-    hook, the pairs more than 6.2 h apart, whose terms are exactly
-    -2 m_i m_j, are summed apart, one term per block, so J can move by an
-    ulp against a sum that takes them in the block's order.
+    row block at a time, each unordered pair once (see `_pass`): for a
+    profile without the `minus_one` hook, as twice the sum over i < j, so
+    g_primitive sees Q(Q-1)/2 squared differences, not Q^2.  Above one
+    block (Q > 362 at _BLOCK_BYTES = 1 MiB) J can change at the ulp level
+    with the block layout: the sum's order, and for the log-radius rule g's
+    tables, follow the blocks.  With the hook, the pairs more than 6.2 h
+    apart, whose terms are exactly -2 m_i m_j, are summed apart, one term
+    per block, so J can move by an ulp against a sum that takes them in
+    the block's order.
     """
     return _pass(k, v, None)[0]
 

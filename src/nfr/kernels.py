@@ -7,16 +7,15 @@ by the engine, but the order-preservation guarantees of the filter hold only
 for kernels passing the symmetric-decay check below; of the built-ins, only
 the Gaussian does.  A profile may also define `minus_one(e)`, K(e) - 1 in
 place, when its primitive is g(s) = -h^2 (K(sqrt(s)/h) - 1): the engine then
-takes J and the weights from one block of K - 1, computing each unordered
-pair's value once for both (i, j) and (j, i).  The Gaussian does.
+takes J and the weights from one block of K - 1.  The Gaussian does.
 
 Each kernel keeps a counter of evaluations on the filtering path, used by
 the complexity benchmarks: `eval_scaled` adds one per value it returns, and
 `filter1d.iterate`, which builds its weights block by block itself, adds Q^2
 for each step it applies, in both schemes: the pair weights the step uses.
-The Gaussian pass computes at most Q(Q + r)/2 of them for r-row blocks,
-none for pairs more than 6.2 h apart (exact zeros), and uses each for both
-orders of its pair.
+Its pass, for every profile, computes at most Q(Q + r)/2 of them for r-row
+blocks and uses each for both orders of its pair; the Gaussian's computes
+none for pairs more than 6.2 h apart (exact zeros).
 
 The primitive g used by the stopping functional comes from the profile's own
 `primitive`: a closed form for the Gaussian, and for the power family at
@@ -108,8 +107,8 @@ class Kernel:
     `evaluations` counts scalar evaluations of the filter weights: those
     made through `eval_scaled`, plus the Q^2 per applied step that
     `filter1d.iterate` reports through `add_evaluations` (the pair weights
-    the step uses; a Gaussian pass computes each unordered pair's weight
-    once and uses it for both orders of the pair); the counter is
+    the step uses; a pass computes each unordered pair's weight once and
+    uses it for both orders of the pair); the counter is
     lock-protected so concurrent filtering keeps it exact.
     Diagnostic paths (decay checks, the primitive) do not count.
     """

@@ -738,14 +738,17 @@ class TestBench:
         r = run("bench", "--sizes", "16,32", "--q", "16", "--output", out)
         assert r.returncode == 0, r.stderr
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,q,evals_1d,evals_direct,evals_naive,ms_1d,ms_direct"
+        assert lines[0] == "n,q,evals_1d,evals_direct,evals_naive,ms_1d,ms_direct,pairs_1d"
         for line, side in zip(lines[1:], (16, 32)):
-            n, q, e1, ed, en = (int(t) for t in line.split(",")[:5])
+            fields = line.split(",")
+            n, q, e1, ed, en = (int(t) for t in fields[:5])
             assert n == side * side
             assert q == 16
             assert e1 == q * q          # engine cost, independent of n
             assert ed == n * q          # pixel-domain direct filter
             assert en == n * n          # naive all-pairs baseline
+            # one block: the step's pass and the J pass of its result
+            assert int(fields[7]) == 2 * q * q
 
     def test_bad_sizes(self, tmp_path, capsys):
         import nfr.cli

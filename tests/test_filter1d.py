@@ -12,6 +12,7 @@ from conftest import random_quantized
 from nfr import (
     FilterConfig,
     GaussianProfile,
+    Image,
     Kernel,
     NoiseSpec,
     Rearrangement,
@@ -159,7 +160,7 @@ class TestFunctionalJ:
 
         monkeypatch.setattr(nfr.filter1d, "g_primitive", counting)
         assert functional_j(r, k) == pytest.approx(full, rel=1e-12)
-        assert sum(seen) <= q * (q - 1) // 2
+        assert sum(seen) == q * (q - 1) // 2
 
     @pytest.mark.parametrize("p, rule_share", [(2.0, 0), (4.0, 0), (3.0, 1)])
     def test_power_j_rule_only_without_closed_form(self, p, rule_share, monkeypatch):
@@ -373,9 +374,13 @@ class TestGaussianPass:
         trace = iterate(v0, cfg)
         iterates, j_values, reason = reference_iterate(v0, cfg)
         assert trace.stop_reason == reason
-        np.testing.assert_allclose(trace.j_values, j_values, rtol=1e-12)
         for got, want in zip(trace.iterates, iterates, strict=True):
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+        # J of the engine's own iterates: the last nonzero J (6e-7 against
+        # J_0 = 4e9) is a sum of squared level gaps, which amplify the step's
+        # roundoff far beyond the J pass's own
+        np.testing.assert_allclose(trace.j_values, [full_j(v, cfg.kernel) for v in trace.iterates],
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
     @pytest.mark.parametrize("h", [5.0, 25.0])
@@ -600,9 +605,13 @@ class PlainGaussian:
 
 class TestEngines:
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
-    @pytest.mark.parametrize("h", [5.0, 25.0, 80.0])
-    def test_dense_engine_matches_gaussian_engine(self, scheme, h):
-        v0 = decreasing_rearrangement(random_quantized(11))[0]
+    @pytest.mark.parametrize("h, image", [
+        (5.0, lambda: random_quantized(11)), (25.0, lambda: random_quantized(11)),
+        (80.0, lambda: random_quantized(11)), (25.0, noisy_squares_32)],
+        ids=["5.0", "25.0", "80.0", "noisy_squares32-25.0"])
+    def test_dense_engine_matches_gaussian_engine(self, scheme, h, image):
+        # noisy squares: Q = 1024, so PlainGaussian's pass is 8 blocks
+        v0 = decreasing_rearrangement(image())[0]
         kg, kd = make_kernel("gaussian", h), Kernel(PlainGaussian(), h)
         tg = iterate(v0, FilterConfig(kg, scheme=scheme, max_iterations=25))
         td = iterate(v0, FilterConfig(kd, scheme=scheme, max_iterations=25))
@@ -655,6 +664,36 @@ class TestPowerKernel:
         for got, want in zip(trace.iterates, iterates, strict=True):
             assert np.array_equal(got.values, want.values)
         np.testing.assert_allclose(trace.j_values, j_values, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_pairs_computed(self, scheme, monkeypatch):
+        # 5-row blocks at Q = 128, the last of 3 rows: each pass takes g of
+        # the Q(Q - 1)/2 pairs i < j once, and each step the weights of its
+        # blocks' columns [a, Q), whose transposes give the rows [b, Q)
+        q, rows, steps = 128, 5, 3
+        monkeypatch.setattr(nfr.filter1d, "_BLOCK_BYTES", rows * 8 * q)
+        v0 = pass_inputs(q, "varying")[0]
+        cfg = FilterConfig(make_kernel("power", 1000.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=steps)
+        trace = iterate(v0, cfg)
+        assert trace.iterations == steps
+        weights = sum((min(a + rows, q) - a) * (q - a) for a in range(0, q, rows))
+        assert trace.pairs_computed == (steps + 1) * q * (q - 1) // 2 + steps * weights
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_multi_block_matches_direct_nf(self, scheme):
+        # the 32^2 ramp of 1024 levels at p = 3: 8 blocks of 128 rows, and
+        # J from the log-radius rule
+        img = Image.from_array(np.arange(1024.0).reshape(32, 32))
+        rearr, levels = decreasing_rearrangement(img)
+        assert nfr.filter1d._BLOCK_BYTES // (8 * rearr.values.size) == 128
+        cfg = FilterConfig(make_kernel("power", 1000.0, 3.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=2)
+        trace = iterate(rearr, cfg)
+        assert trace.iterations == 2
+        got = reconstruct(levels, trace.iterates[-1].values).data
+        want = direct_nf(img, make_kernel("power", 1000.0, 3.0), 2, scheme, workers=1).data
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
     def test_order_break_is_reported(self, scheme):
