@@ -47,8 +47,9 @@ or a `denoise` input with `--output` or a windowed filter, that is not
 them a flag or a J value that is not finite, so a report never holds NaN
 or Infinity, and a `compare` statistic that overflows) or a computation
 too large for memory (`MemoryError`).
-NFR_THREADS caps worker threads for the pixel-domain filter.  `run` is the
-process entry point: it freezes the import-time heap, then calls `main`.
+`nf-direct` runs on every CPU in the process's affinity mask (`taskset`
+limits it), with the same output bits.  `run` is the process entry point:
+it freezes the import-time heap, then calls `main`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .kernels import make_kernel
 from .noise_metrics import NoiseSpec, add_gaussian_noise
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .rearrangement import Image, decreasing_rearrangement, reconstruct
-from .reference_filters import SpatialConfig, bilateral, default_workers, direct_nf, nlm
+from .reference_filters import SpatialConfig, bilateral, direct_nf, nlm
 from .segmentation import segment_with_trace
 
 
@@ -91,9 +92,11 @@ def _fmt(x: float) -> str:
 def write_float_csv(path, img: Image):
     """Write `img` as float CSV: the shape header, then one %.17g value a line.
 
-    The body goes out a block of `_CSV_BLOCK` lines at a time.  A coded
-    image (see `Image`; the nf filter's output is one) has each distinct bit
-    pattern of its table formatted once, and each block's lines gathered
+    The body goes out as bytes, as `read_float_csv` reads it (lines end in
+    "\\n" on every platform), a block of `_CSV_BLOCK` lines joined as one str
+    and encoded at a time (`bytes.join` takes an 80-byte view per line).  A
+    coded image (see `Image`; the nf filter's output is one) has each distinct
+    bit pattern of its table formatted once, and each block's lines gathered
     through its codes; any other image is formatted one block at a time.
     """
     coded = img.table is not None
@@ -101,11 +104,11 @@ def write_float_csv(path, img: Image):
         bits, entry = np.unique(img.table.view(np.int64), return_inverse=True)
         lines = np.array([_fmt(v) + "\n" for v in bits.view(np.float64)], dtype=object)[entry]
     flat = img.raster if coded else img.data
-    with open(path, "w") as fh:
-        fh.write(f"# shape: {' '.join(str(s) for s in img.shape)}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# shape: {' '.join(str(s) for s in img.shape)}\n".encode())
         for a in range(0, flat.size, _CSV_BLOCK):
             block = flat[a:a + _CSV_BLOCK]
-            fh.write("".join(lines[block] if coded else [_fmt(v) + "\n" for v in block]))
+            fh.write("".join(lines[block] if coded else [_fmt(v) + "\n" for v in block]).encode())
 
 
 def _write_rows(path, header: str, *columns):
@@ -320,16 +323,14 @@ def cmd_denoise(args) -> int:
 
     outputs = []
     if args.output is not None:
-        # clamped: rounds outside [0, maxval]; ties go to even, so maxval + 0.5
-        # rounds out for an odd maxval and in for an even one
-        above = np.greater_equal if maxval % 2 else np.greater
         if args.filter == "nf":  # coded: quantize the table, count level masses
             x, masses = trace.iterates[-1].values, levels.masses
             pixels = quantize(out.table, maxval)[out.raster]
         else:
             x, masses = out.data, None
             pixels = quantize(x, maxval)
-        bad = (x < -0.5) | above(x, maxval + 0.5)
+        r = np.rint(x)  # clamped: rounds, as `quantize` does, outside [0, maxval]
+        bad = (r < 0) | (r > maxval)
         clamped = int(np.count_nonzero(bad) if masses is None else masses[bad].sum())
         if clamped:
             keep = ("the --csv output keeps them" if args.csv is not None
@@ -585,11 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        default_workers()  # fail fast on a bad NFR_THREADS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     args._argv = list(argv)
     try:

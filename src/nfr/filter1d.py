@@ -79,7 +79,8 @@ class FilterConfig:
 
 @dataclass
 class FilterTrace:
-    """Every iterate v_0 ... v_n plus per-iterate diagnostics."""
+    """Every iterate v_0 ... v_n, all on v_0's masses array (a step moves
+    values, never level sets), plus per-iterate diagnostics."""
 
     iterates: list[Rearrangement] = field(default_factory=list)
     j_values: list[float] = field(default_factory=list)
@@ -136,7 +137,7 @@ def _checked_step(nd: np.ndarray, v: Rearrangement, k: Kernel) -> Rearrangement:
             f"{k!r} breaks the level order: the 1-D engine needs an "
             "order-preserving (log-concave) kernel; use direct_nf "
             "(--filter nf-direct) for this kernel")
-    return Rearrangement(out, v.masses.copy())
+    return Rearrangement(out, v.masses)
 
 
 def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rearrangement:

@@ -25,7 +25,7 @@ from .filter1d import _guard_step_values
 from .kernels import Kernel, eval_scaled
 from .rearrangement import Image
 
-_CHUNK = 1 << 20  # kernel-matrix entries per block: 8 MiB per float64 temporary
+_CHUNK = 1 << 20  # kernel-matrix entries in flight: 8 MiB per float64 temporary
 
 
 @dataclass
@@ -56,17 +56,11 @@ class SpatialConfig:
 
 
 def default_workers() -> int:
-    """Worker cap from the NFR_THREADS environment variable (default 1)."""
-    raw = os.environ.get("NFR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NFR_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError("NFR_THREADS must be >= 1")
-    return n
+    """The CPUs this process may run on (its affinity mask), or the CPU
+    count where the mask cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _nf_pixel_pass(um, vals, level_sums, level_counts, k, workers):
@@ -74,15 +68,17 @@ def _nf_pixel_pass(um, vals, level_sums, level_counts, k, workers):
 
     um: weight-source pixel values (length N); vals: its distinct values,
     descending; level_sums/level_counts: per-level sums of the current
-    values and pixel counts.  Returns the raw per-pixel outputs.
+    values and pixel counts.  Returns the raw per-pixel outputs.  Row sums
+    use einsum: a threaded BLAS splits them by its CPU-dependent thread count.
     """
     n = um.size
     out = np.empty(n)
-    rows = max(1, _CHUNK // vals.size)
+    rows = max(1, _CHUNK // (vals.size * workers))  # blocks in flight share _CHUNK
 
     def run(lo, hi):
         kblk = eval_scaled(k, um[lo:hi, None] - vals[None, :])
-        out[lo:hi] = (kblk @ level_sums) / (kblk @ level_counts)
+        out[lo:hi] = (np.einsum("ij,j->i", kblk, level_sums)
+                      / np.einsum("ij,j->i", kblk, level_counts))
 
     spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if workers > 1 and len(spans) > 1:
@@ -103,7 +99,9 @@ def direct_nf(img: Image, k: Kernel, iterations: int, scheme: str = "varying",
     from the input image.  Pixels sharing a weight value receive one common
     output value (their rows are identical sums), taken from their first
     occurrence so ties stay ties bit-for-bit; the shared per-level outputs
-    then get the same range/ordering guard as the 1-D engine.
+    then get the same range/ordering guard as the 1-D engine.  Row blocks
+    go to `workers` threads (default `default_workers()`); each block's
+    outputs are the same whichever thread computes it.
     """
     if int(iterations) < 0:
         raise ValueError("iterations must be >= 0")

@@ -22,13 +22,9 @@ from nfr.cli import (FormatError, _fmt, _write_rows, load_image, read_float_csv,
 from test_rearrangement import PARITY_CASES, assert_same_levels
 
 
-def run(*args, env=None):
-    e = os.environ.copy()
-    e.pop("NFR_THREADS", None)
-    if env:
-        e.update(env)
+def run(*args):
     return subprocess.run([sys.executable, "-m", "nfr", *map(str, args)],
-                          capture_output=True, text=True, env=e)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -178,11 +174,9 @@ class TestDenoise:
         ("nlm", [], 1),
     ], ids=["nf-2", "nf-direct-2", "bilateral-2", "nlm-2", "nf-direct-default",
             "bilateral-default", "nlm-default"])
-    def test_max_iter_is_the_step_count(self, tmp_path, noisy_csv, monkeypatch,
-                                        name, flags, steps):
+    def test_max_iter_is_the_step_count(self, tmp_path, noisy_csv, name, flags, steps):
         import nfr.cli
 
-        monkeypatch.delenv("NFR_THREADS", raising=False)
         csv, rep = tmp_path / "out.csv", tmp_path / "out.json"
         rc = nfr.cli.main(["denoise", "--input", str(noisy_csv),
                            "--output", str(tmp_path / "out.pgm"), "--filter", name,
@@ -1057,20 +1051,6 @@ class TestExitCodes:
         r = run("denoise")  # missing required flags
         assert r.returncode == 2
 
-    def test_bad_thread_env_is_2(self, tmp_path, squares_pgm):
-        for bad in ("abc", "0"):
-            r = run("compare", "--a", squares_pgm, "--b", squares_pgm,
-                    env={"NFR_THREADS": bad})
-            assert r.returncode == 2
-            assert "NFR_THREADS" in r.stderr
-
-    def test_thread_env_accepted(self, tmp_path, squares_pgm, noisy_csv):
-        out = tmp_path / "o.pgm"
-        r = run("denoise", "--input", noisy_csv, "--output", out,
-                "--filter", "nf-direct", "--max-iter", "2", "--h", "25",
-                env={"NFR_THREADS": "2"})
-        assert r.returncode == 0, r.stderr
-
     def test_order_breaking_kernel_is_4(self, tmp_path, noisy_csv):
         for scheme in ("varying", "fixed"):
             r = run("denoise", "--input", noisy_csv, "--output", tmp_path / "o.pgm",
@@ -1095,10 +1075,9 @@ class TestExitCodes:
 
 
 class TestReport:
-    def test_schema(self, tmp_path, squares_pgm, monkeypatch):
+    def test_schema(self, tmp_path, squares_pgm):
         import nfr.cli
 
-        monkeypatch.delenv("NFR_THREADS", raising=False)
         keys = {"command", "params", "n", "q", "iterations", "stop_reason",
                 "j_trace", "kernel_evaluations", "pairs_computed", "timings_ms",
                 "outputs"}

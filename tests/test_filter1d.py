@@ -260,6 +260,16 @@ class TestIterate:
                                      stop_tolerance=1e-300))
         assert np.array_equal(tv.iterates[1].values, tf.iterates[1].values)
 
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_iterates_share_one_mass_partition(self, gauss, scheme):
+        # a step is a contrast change: the level sets, so the masses, stay
+        r = decreasing_rearrangement(random_quantized(6))[0]
+        trace = iterate(r, FilterConfig(gauss(15.0), scheme=scheme, max_iterations=4,
+                                        stop_tolerance=1e-300))
+        assert trace.iterations == 4
+        assert all(v.masses is r.masses for v in trace.iterates)
+        assert nf_step(r, r, gauss(15.0)).masses is r.masses
+
     def test_sup_norms_never_grow(self, gauss):
         r = decreasing_rearrangement(random_quantized(1))[0]
         trace = iterate(r, FilterConfig(gauss(25.0), max_iterations=20,
@@ -557,16 +567,18 @@ class TestExactBand:
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
                                        atol=1e-12 * 255.0)
 
-    def test_multi_block_band_matches_direct_nf(self):
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_multi_block_band_matches_direct_nf(self, scheme):
         # 64^2 float noisy squares: Q = N = 4096, 32-row blocks, and plateaus
         # far enough apart that a third of the pairs are computed
         img = add_gaussian_noise(synthetic.squares(64), NoiseSpec(10.0, 7))
         rearr, levels = decreasing_rearrangement(img)
         q, k = rearr.values.size, make_kernel("gaussian", 25.0)
-        trace = iterate(rearr, FilterConfig(k, stop_tolerance=1e-300, max_iterations=3))
+        trace = iterate(rearr, FilterConfig(k, scheme=scheme, stop_tolerance=1e-300,
+                                            max_iterations=3))
         assert q == 4096 and trace.pairs_computed < 0.5 * 4 * q * q
         got = reconstruct(levels, trace.iterates[-1].values).data
-        want = direct_nf(img, make_kernel("gaussian", 25.0), 3, "varying", workers=1).data
+        want = direct_nf(img, make_kernel("gaussian", 25.0), 3, scheme, workers=1).data
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("scheme, blocks", [("varying", 5), ("fixed", 8)])

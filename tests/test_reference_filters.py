@@ -1,6 +1,9 @@
 """Pixel-domain filters against the 1-D engine and naive reimplementations."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -109,25 +112,62 @@ class TestDirectNf:
         a = direct_nf(img, gauss(18.0), 3, workers=1)
         b = direct_nf(img, gauss(18.0), 3, workers=3)
         assert np.array_equal(a.data, b.data)
-        # N = Q = 4096 is 16 row blocks, so the worker pool does run
+        # N = Q = 4096 is 16 row blocks, so the worker pool does run; the
+        # default is one worker per CPU of the affinity mask
         rng = np.random.default_rng(5)
         img = Image.from_array(rng.permutation(4096).reshape(64, 64) * 0.0625)
         for scheme in ("varying", "fixed"):
             a = direct_nf(img, gauss(25.0), 2, scheme, workers=1)
-            b = direct_nf(img, gauss(25.0), 2, scheme, workers=3)
-            assert np.array_equal(a.data, b.data), scheme
+            for workers in (3, None):
+                b = direct_nf(img, gauss(25.0), 2, scheme, workers=workers)
+                assert np.array_equal(a.data, b.data), (scheme, workers)
+
+    def test_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # a threaded BLAS splits a product's sum by its thread count; the
+        # oracle's row sums must not, so children with 1 and 2 BLAS threads
+        # agree (on a 1-CPU host both may run one thread).  N = Q = 2000 is
+        # blocks of 524 rows, whose BLAS products moved ulps with the count
+        import nfr
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nfr.__file__)))
+        code = ("import hashlib, numpy as np; from nfr import Image, direct_nf, make_kernel; "
+                "u = np.random.default_rng(5).permutation(2000).reshape(50, 40) * 0.0625; "
+                "out = direct_nf(Image.from_array(u), make_kernel('gaussian', 25.0), 2, "
+                "workers=1); print(hashlib.sha256(out.data.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS"), threads))
+            r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            digests.add(r.stdout)
+        assert len(digests) == 1
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        import nfr.reference_filters
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert nfr.reference_filters.default_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # where the mask cannot be read
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert nfr.reference_filters.default_workers() == 5
 
     def test_peak_memory_is_blocked(self, gauss):
-        # N = Q = 4096: one 4096-row block would hold 128 MiB per temporary
+        # N = Q = 4096: one 4096-row block would hold 128 MiB per temporary;
+        # the workers' blocks in flight share one budget, whatever the count
         rng = np.random.default_rng(2)
         img = Image.from_array(rng.permutation(4096).reshape(64, 64) * 0.0625)
-        tracemalloc.start()
-        try:
-            direct_nf(img, gauss(25.0), 1, workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        for workers in (1, 8):
+            tracemalloc.start()
+            try:
+                direct_nf(img, gauss(25.0), 1, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, workers
 
     def test_schemes_diverge_after_two_steps(self, gauss):
         img = random_quantized(4)
