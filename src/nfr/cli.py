@@ -246,17 +246,24 @@ def _report_params(args) -> dict:
     return params
 
 
-def _write_report(path, args, k, ticks, outputs, **fields):
+def _write_report(path, args, k, ticks, outputs, trace, **fields):
     """Write the one-line JSON report of `denoise` or `segment`.
 
     ticks: the four perf_counter readings that open and close the read,
-    filter and write phases.  fields: the command's own entries.  A value
-    that is not finite is a ValueError raised before the file is opened, so
-    no report is left behind.
+    filter and write phases.  trace: the run's `FilterTrace`, or None for a
+    filter without one (iterations is then args.max_iter, q and the other
+    trace entries null).  fields: the command's own entries.  A value that
+    is not finite is a ValueError raised before the file is opened, so no
+    report is left behind.
     """
     report = {
         "command": getattr(args, "_argv", []),
         "params": _report_params(args),
+        "q": None if trace is None else trace.iterates[0].values.size,
+        "iterations": args.max_iter if trace is None else trace.iterations,
+        "stop_reason": None if trace is None else trace.stop_reason,
+        "j_trace": None if trace is None else trace.j_values,
+        "pairs_computed": None if trace is None else trace.pairs_computed,
         **fields,
         "kernel_evaluations": k.evaluations,
         "timings_ms": dict(zip(("read", "filter", "write"),
@@ -302,22 +309,18 @@ def cmd_denoise(args) -> int:
     k = make_kernel(args.kernel, args.h, args.p)
     if args.max_iter is None:  # resolved here so the report shows the count
         args.max_iter = {"nf": 100, "nf-direct": 10}.get(args.filter, 1)
-    iterations = args.max_iter
-    stop_reason = j_trace = q = pairs = None
+    trace = None
     if args.filter == "nf":
         rearr, levels = decreasing_rearrangement(img)
-        q = rearr.values.size
         trace = iterate(rearr, _filter_config(args, k))
         out = reconstruct(levels, trace.iterates[-1].values)
-        iterations, stop_reason, j_trace, pairs = (
-            trace.iterations, trace.stop_reason, trace.j_values, trace.pairs_computed)
     elif args.filter == "nf-direct":
-        out = direct_nf(img, k, iterations, args.scheme)
+        out = direct_nf(img, k, args.max_iter, args.scheme)
     else:
         windowed = bilateral if args.filter == "bilateral" else nlm
         sp = SpatialConfig(rho=args.rho, patch_radius=args.patch,
                            window_radius=args.window)
-        out = windowed(img, k, sp, iterations)
+        out = windowed(img, k, sp, args.max_iter)
     ticks.append(time.perf_counter())
     _report_params(args)  # a non-finite flag is refused before any output
 
@@ -345,8 +348,7 @@ def cmd_denoise(args) -> int:
     ticks.append(time.perf_counter())
 
     _write_report(args.report or f"{outputs[0]}.report.jsonl", args, k, ticks,
-                  outputs, n=img.n, q=q, iterations=iterations,
-                  stop_reason=stop_reason, j_trace=j_trace, pairs_computed=pairs)
+                  outputs, trace, n=img.n)
     return 0
 
 
@@ -379,10 +381,7 @@ def cmd_segment(args) -> int:
     ticks.append(time.perf_counter())
 
     _write_report(args.report or f"{args.prefix}.report.jsonl", args, k, ticks,
-                  outputs, n=img.n, q=trace.iterates[0].values.size,
-                  iterations=trace.iterations, stop_reason=trace.stop_reason,
-                  j_trace=trace.j_values, pairs_computed=trace.pairs_computed,
-                  region_count=seg.region_count)
+                  outputs, trace, n=img.n, region_count=seg.region_count)
     return 0
 
 

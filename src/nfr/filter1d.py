@@ -19,10 +19,10 @@ of float64 pair values, so memory is a few blocks plus O(Q) vectors, never
 Q x Q.  As K_h(v_i - v_j) is symmetric in (i, j), a block takes only the
 columns right of its diagonal: each unordered pair's weight is computed
 once for both (i, j) and (j, i), at most Q(Q + r)/2 weights per step for
-r-row blocks.  A profile with a `minus_one` hook (the Gaussian) gives J and
-the weights from one expm1 block, and drops the columns of levels more
-than 6.2 h below the block's rows, whose float64 weights are exactly 0.0
-(the cut is derived in `_pass`): its blocks cover a band of the pair
+r-row blocks.  The Gaussian (`GaussianProfile` and its subclasses) gives
+J and the weights from one expm1 block, and drops the columns of levels
+more than 6.2 h below the block's rows, whose float64 weights are exactly
+0.0 (the cut is derived in `_pass`): its blocks cover a band of the pair
 matrix, and the J terms of the dropped pairs, each exactly -2 m_i m_j, are
 summed apart from the suffix sums of the masses.  Nothing is approximated;
 the band computes a third of Q^2 on noisy squares at h = 25, whose
@@ -56,6 +56,14 @@ from .rearrangement import Rearrangement
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_BYTES = 1 << 20  # bytes of float64 pair values per row block (rows * Q * 8)
 _CUT = 6.2  # in units of h: past it a Gaussian weight is exactly 0.0 (see _pass)
+
+
+def _gauss_minus_one(d: np.ndarray) -> np.ndarray:
+    """The Gaussian's K - 1 = expm1(-d^2), in place in the float64 array d:
+    the sequence (square, negate, expm1) for which _CUT is derived."""
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    return np.expm1(d, out=d)
 
 
 @dataclass
@@ -165,16 +173,17 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     One loop serves every profile: row block [a, b) takes the columns
     [a, hi) only, and its weights are applied to rows [a, b) and,
     transposed, to the rows [b, hi), so each unordered pair's weight is
-    computed once (K is even, and fl(x_i - x_j) = -fl(x_j - x_i)).  With
-    the `minus_one` hook (the Gaussian), the block E = K - 1 of v gives the
-    share -h^2 m[a:b]^T E c of J = -h^2 m^T E m, where c is m[a:hi] with
-    the entries right of the diagonal block doubled, and, plus one in
-    place, the weights.  The columns past hi are the exact zeros of the
-    weights: with hi = max(b, reach[b - 1]), where reach[i] is the first
-    level more than _CUT = 6.2 h below level i (of w too, in the fixed
-    scheme), every such pair has E == -1.0 and K == 0.0 in float64, so it
-    adds 0 to the step and -2 m_i m_j to the sum for J, taken as
-    -2 sum(m[a:b]) S[hi] with S the suffix sums of m.
+    computed once (K is even, and fl(x_i - x_j) = -fl(x_j - x_i)).  For
+    the Gaussian (g(s) = -h^2 (K(sqrt(s)/h) - 1)), the block E = K - 1 of
+    v, from _gauss_minus_one, gives the share -h^2 m[a:b]^T E c of
+    J = -h^2 m^T E m, where c is m[a:hi] with the entries right of the
+    diagonal block doubled, and, plus one in place, the weights.  The
+    columns past hi are the exact zeros of the weights: with
+    hi = max(b, reach[b - 1]), where reach[i] is the first level more than
+    _CUT = 6.2 h below level i (of w too, in the fixed scheme), every such
+    pair has E == -1.0 and K == 0.0 in float64, so it adds 0 to the step
+    and -2 m_i m_j to the sum for J, taken as -2 sum(m[a:b]) S[hi] with S
+    the suffix sums of m.
 
     The cut: for d >= sqrt(54 ln 2) = 6.118 the true exp(-d^2) is below
     2^-54, half the float spacing 2^-53 just above -1, so expm1(-d^2) rounds
@@ -191,21 +200,22 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     most rows (rows + width) values, and few rows of a narrow band would
     spend the pass in the loop.  One buffer of that size holds each block
     in turn, so no block allocates.  A single block (rows >= Q) is the
-    full-row computation.  Without the hook, hi = Q, and J is twice the sum
-    of m_i m_j g((v_i - v_j)^2) over the pairs i < j of the blocks.  The
-    count is of the values the blocks compute (expm1, or g and the
-    profile); `iterate` counts the Q^2 pair weights of each step apart.
+    full-row computation.  For any other profile, whatever attributes it
+    carries, hi = Q, and J is twice the sum of m_i m_j g((v_i - v_j)^2)
+    over the pairs i < j of the blocks.  The count is of the values the
+    blocks compute (expm1, or g and the profile); `iterate` counts the Q^2
+    pair weights of each step apart.
     """
     x, m, h = v.values, v.masses, k.h
     q = x.size
-    minus_one = getattr(k.profile, "minus_one", None)
+    gauss = isinstance(k.profile, GaussianProfile)
     rows = max(1, _BLOCK_BYTES // (8 * q))
     nd = None if w is None else np.zeros((q, 2))
     rhs = None if w is None else np.stack((m * x, m), axis=1)
     total, pairs = 0.0, 0
     # reach[i]: the first j with x_j < fl(x_i - cut), as -x_j > fl(cut - x_i);
-    # without the hook no weight is known to be 0.0: no cut, and reach = Q
-    cut = math.inf if minus_one is None else _CUT * h
+    # for any other profile no weight is known to be 0.0: no cut, and reach = Q
+    cut = _CUT * h if gauss else math.inf
     reach = np.searchsorted(-x, cut - x, side="right")
     if w is not None and w is not x:
         reach = np.maximum(reach, np.searchsorted(-w, cut - w, side="right"))
@@ -220,7 +230,7 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
         d = buf[:r * (hi - a)].reshape(r, hi - a)
         d[...] = x[a:b, None]  # fill, subtract in place: subtract.outer's bits, 2/3 the time
         d -= x[a:hi]
-        if minus_one is None:  # g of the pairs i < j: the diagonal block's triangle, then [b, Q)
+        if not gauss:  # g of the pairs i < j: the diagonal block's triangle, then [b, Q)
             upper = np.arange(r)[:, None] < np.arange(r)
             g = g_primitive(k, np.square(d[:, :r][upper]))
             rest = g_primitive(k, np.square(d[:, r:]))
@@ -228,7 +238,7 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
             pairs += g.size + rest.size
         else:  # E = K - 1 gives J, with twice the mass right of the diagonal block
             d /= h
-            e = minus_one(d)
+            e = _gauss_minus_one(d)
             c = m[a:hi].copy()
             c[r:] *= 2.0
             total += float(m[a:b] @ (e @ c)) - 2.0 * float(m[a:b].sum()) * suffix[hi]
@@ -238,18 +248,18 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
         if w is not x:  # J is taken: the weights reuse the buffer
             d[...] = w[a:b, None]
             d -= w[a:hi]
-            if minus_one is not None:
+            if gauss:
                 d /= h
-                e = minus_one(d)
+                e = _gauss_minus_one(d)
                 pairs += e.size
-        if minus_one is None:
+        if not gauss:
             e = k.profile(d / h)
             pairs += e.size
         else:
             e += 1.0  # E -> K in place
         nd[a:b] += e @ rhs[a:hi]
         nd[b:hi] += e[:, r:].T @ rhs[a:b]
-    return 0.0 + (2.0 if minus_one is None else -(h * h)) * total, nd, pairs  # +0.0 at J = 0
+    return 0.0 + (-(h * h) if gauss else 2.0) * total, nd, pairs  # +0.0 at J = 0
 
 
 def functional_j(v: Rearrangement, k: Kernel) -> float:
@@ -259,11 +269,11 @@ def functional_j(v: Rearrangement, k: Kernel) -> float:
     filter's own weights K_h(v_i - v_j) — the varying-scheme iteration
     descends this functional.  Zero exactly when v is constant.  Taken one
     row block at a time, each unordered pair once (see `_pass`): for a
-    profile without the `minus_one` hook, as twice the sum over i < j, so
+    profile other than the Gaussian, as twice the sum over i < j, so
     g_primitive sees Q(Q-1)/2 squared differences, not Q^2.  Above one
     block (Q > 362 at _BLOCK_BYTES = 1 MiB) J can change at the ulp level
     with the block layout: the sum's order, and for the log-radius rule g's
-    tables, follow the blocks.  With the hook, the pairs more than 6.2 h
+    tables, follow the blocks.  For the Gaussian, the pairs more than 6.2 h
     apart, whose terms are exactly -2 m_i m_j, are summed apart, one term
     per block, so J can move by an ulp against a sum that takes them in
     the block's order.

@@ -5,9 +5,7 @@ K(s) = 1/(1 + |s|^p) with p > 1.  A profile is a callable with an analytic
 `derivative` and, optionally, `primitive(s, h)`; any such object is accepted
 by the engine, but the order-preservation guarantees of the filter hold only
 for kernels passing the symmetric-decay check below; of the built-ins, only
-the Gaussian does.  A profile may also define `minus_one(e)`, K(e) - 1 in
-place, when its primitive is g(s) = -h^2 (K(sqrt(s)/h) - 1): the engine then
-takes J and the weights from one block of K - 1.  The Gaussian does.
+the Gaussian does.
 
 Each kernel keeps a counter of evaluations on the filtering path, used by
 the complexity benchmarks: `eval_scaled` adds one per value it returns, and
@@ -53,16 +51,6 @@ class GaussianProfile:
     def primitive(self, s, h):
         """g(s) = h^2 (1 - exp(-s/h^2)), taken through expm1."""
         return -(h * h) * np.expm1(-s / (h * h))
-
-    def minus_one(self, e):
-        """K(e) - 1 = expm1(-e^2), in place in the float64 array e.
-
-        The engine hook: g(s) = -h^2 (K(sqrt(s)/h) - 1), so one block of
-        K - 1 gives both J and, plus one, the filter weights.
-        """
-        np.square(e, out=e)
-        np.negative(e, out=e)
-        return np.expm1(e, out=e)
 
 
 class PowerDecayProfile:

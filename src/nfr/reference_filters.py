@@ -100,8 +100,8 @@ def direct_nf(img: Image, k: Kernel, iterations: int, scheme: str = "varying",
     output value (their rows are identical sums), taken from their first
     occurrence so ties stay ties bit-for-bit; the shared per-level outputs
     then get the same range/ordering guard as the 1-D engine.  Row blocks
-    go to `workers` threads (default `default_workers()`); each block's
-    outputs are the same whichever thread computes it.
+    go to `workers` >= 1 threads (default `default_workers()`); each
+    block's outputs are the same whichever thread computes it.
     """
     if int(iterations) < 0:
         raise ValueError("iterations must be >= 0")
@@ -109,6 +109,8 @@ def direct_nf(img: Image, k: Kernel, iterations: int, scheme: str = "varying",
         raise ValueError(f"unknown scheme {scheme!r}")
     if workers is None:
         workers = default_workers()
+    elif int(workers) < 1:
+        raise ValueError("workers must be >= 1")
     u0 = img.data
     un = u0.copy()
     for _ in range(int(iterations)):

@@ -327,12 +327,12 @@ def full_row_gaussian_pass(k, v, w):
         b = min(a + rows, x.size)
         d = np.subtract.outer(x[a:b], x)
         d /= h
-        e = k.profile.minus_one(d)
+        e = np.expm1(-(d * d))
         total += float(m[a:b] @ (e @ m))
         if w is not x:
-            e = np.subtract.outer(w[a:b], w)
-            e /= h
-            e = k.profile.minus_one(e)
+            d = np.subtract.outer(w[a:b], w)
+            d /= h
+            e = np.expm1(-(d * d))
         e += 1.0
         nd[a:b] = e @ rhs
     return -(h * h) * total, nd
@@ -463,14 +463,16 @@ def full_column_pass(k, v, w):
     total, pairs = 0.0, 0
     for a in range(0, x.size, rows):
         b = min(a + rows, x.size)
-        e = k.profile.minus_one(np.subtract.outer(x[a:b], x[a:]) / h)
+        d = np.subtract.outer(x[a:b], x[a:]) / h
+        e = np.expm1(-(d * d))
         c = m[a:].copy()
         c[b - a:] *= 2.0
         total += float(m[a:b] @ (e @ c))
         pairs += e.size
         if w is not None:
             if w is not x:
-                e = k.profile.minus_one(np.subtract.outer(w[a:b], w[a:]) / h)
+                d = np.subtract.outer(w[a:b], w[a:]) / h
+                e = np.expm1(-(d * d))
                 pairs += e.size
             e += 1.0
             nd[a:b] += e @ rhs[a:]
@@ -485,15 +487,16 @@ def spread_levels(q, ratio):
                           rng.integers(1, 9, q).astype(float)), 255.0 / ratio)
 
 
-class RecordingGaussian(GaussianProfile):
-    """The Gaussian profile, recording the shape of every block it computes."""
+def record_gaussian_blocks(monkeypatch):
+    """The shapes of the Gaussian blocks `_pass` computes from now on."""
+    shapes, minus_one = [], nfr.filter1d._gauss_minus_one
 
-    def __init__(self):
-        self.shapes = []
+    def recording(d):
+        shapes.append(d.shape)
+        return minus_one(d)
 
-    def minus_one(self, e):
-        self.shapes.append(e.shape)
-        return super().minus_one(e)
+    monkeypatch.setattr(nfr.filter1d, "_gauss_minus_one", recording)
+    return shapes
 
 
 RATIOS = [0.1, 1.0, 13.0, 31.0, 300.0, 2600.0]  # range / h
@@ -514,7 +517,7 @@ class TestExactBand:
         d = np.subtract.outer(xs[:1], xs[1:])
         d /= h
         assert np.all(np.abs(d - 6.2) < 1e-9)
-        e = GaussianProfile().minus_one(d)
+        e = np.expm1(-(d * d))
         assert e.tolist() == [[-1.0, -1.0, -1.0]]
         assert (e + 1.0).tolist() == [[0.0, 0.0, 0.0]]
 
@@ -528,14 +531,14 @@ class TestExactBand:
 
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
     @pytest.mark.parametrize("ratio", RATIOS[2:])  # a band narrower than 6.2 h
-    def test_dropped_pairs_are_exact_zeros(self, ratio, scheme):
+    def test_dropped_pairs_are_exact_zeros(self, ratio, scheme, monkeypatch):
         q = 1500  # at least 87 rows per block, 18 MB per full Q x Q matrix
         v, h = spread_levels(q, ratio)
         w = v.values if scheme == "varying" else spread_levels(q, ratio + 1.0)[0].values
-        profile = RecordingGaussian()
-        nfr.filter1d._pass(Kernel(profile, h), v, w)
+        shapes = record_gaussian_blocks(monkeypatch)
+        nfr.filter1d._pass(make_kernel("gaussian", h), v, w)
         # blocks come in row order, for the fixed scheme as (v, w) pairs
-        shapes = profile.shapes[::2] if scheme == "fixed" else profile.shapes
+        shapes = shapes[::2] if scheme == "fixed" else shapes
         assert len(shapes) > 1
         hi, a = np.empty(q, dtype=int), 0
         for rows, cols in shapes:
@@ -545,7 +548,8 @@ class TestExactBand:
         dropped = np.arange(q) >= hi[:, None]  # pairs j > i right of the band
         assert dropped.any()
         for values in (v.values, w):
-            k_full = GaussianProfile().minus_one(np.subtract.outer(values, values) / h) + 1.0
+            d = np.subtract.outer(values, values) / h
+            k_full = np.expm1(-(d * d)) + 1.0
             assert np.all(k_full[dropped] == 0.0)
 
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
@@ -636,6 +640,52 @@ class TestEngines:
                                        atol=1e-12 * scale)
         np.testing.assert_allclose(td.j_values, tg.j_values, rtol=0,
                                    atol=1e-12 * tg.j_values[0])
+
+
+class Laplace:
+    """K(s) = exp(-|s|): log-concave, not Gaussian, and without `primitive`."""
+
+    def __call__(self, s):
+        return np.exp(-np.abs(np.asarray(s, dtype=np.float64)))
+
+    def derivative(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        return -np.sign(s) * np.exp(-np.abs(s))
+
+
+class LaplaceMinusOne(Laplace):
+    """Laplace with a `minus_one(e)` = K(e) - 1 in place: an attribute of the
+    Gaussian's form, which must not give this profile the Gaussian band."""
+
+    def minus_one(self, e):
+        np.abs(e, out=e)
+        np.negative(e, out=e)
+        return np.expm1(e, out=e)
+
+
+class TestOtherProfiles:
+    """Only the Gaussian takes the band; any other profile takes the
+    primitive path, whatever attributes it carries."""
+
+    def test_the_gaussian_has_no_hook(self):
+        assert not hasattr(GaussianProfile(), "minus_one")
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_minus_one_attribute_is_ignored(self, scheme):
+        # the 32^2 ramp of 1024 levels at h = 25: 8 blocks of 128 rows, where
+        # the Gaussian's cut and J applied to this profile leave its output
+        # 0.2 off direct_nf and J_0 at half its value
+        img = Image.from_array(np.arange(1024.0).reshape(32, 32))
+        rearr, levels = decreasing_rearrangement(img)
+        assert nfr.filter1d._BLOCK_BYTES // (8 * rearr.values.size) == 128
+        traces = [iterate(rearr, FilterConfig(Kernel(profile, 25.0), scheme=scheme,
+                                              stop_tolerance=1e-300, max_iterations=2))
+                  for profile in (LaplaceMinusOne(), Laplace())]
+        assert traces[0].iterations == 2
+        assert traces[0].j_values == traces[1].j_values
+        got = reconstruct(levels, traces[0].iterates[-1].values).data
+        want = direct_nf(img, Kernel(Laplace(), 25.0), 2, scheme, workers=1).data
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 class TestMemoryBudget:

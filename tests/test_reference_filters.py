@@ -182,6 +182,12 @@ class TestDirectNf:
         with pytest.raises(ValueError):
             direct_nf(img, gauss(1.0), 1, scheme="oscillating")
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_workers_below_one(self, gauss, workers):
+        # 0 would divide the block budget by zero, and -2 run serially
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            direct_nf(random_quantized(1), gauss(1.0), 1, workers=workers)
+
 
 class TestBilateral:
     def test_matches_naive_loop(self, gauss):
