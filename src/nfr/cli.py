@@ -284,13 +284,13 @@ def _filter_config(args, k) -> FilterConfig:
 
 def cmd_rearrange(args) -> int:
     img, _ = load_image(args.input)
-    rearr, levels = decreasing_rearrangement(img)
+    rearr, _ = decreasing_rearrangement(img)
     cum = np.concatenate(([0.0], np.cumsum(rearr.masses)[:-1]))
     _write_rows(f"{args.prefix}.rearrangement.csv", "cumulative_mass_start,mass,value",
                 cum, rearr.masses, rearr.values)
-    # the histogram is the level structure in ascending order
+    # the histogram is the rearrangement in ascending order
     _write_rows(f"{args.prefix}.histogram.csv", "value,mass",
-                levels.values[::-1], levels.masses[::-1])
+                rearr.values[::-1], rearr.masses[::-1])
     return 0
 
 
@@ -327,7 +327,7 @@ def cmd_denoise(args) -> int:
     outputs = []
     if args.output is not None:
         if args.filter == "nf":  # coded: quantize the table, count level masses
-            x, masses = trace.iterates[-1].values, levels.masses
+            x, masses = trace.iterates[-1].values, trace.iterates[-1].masses
             pixels = quantize(out.table, maxval)[out.raster]
         else:
             x, masses = out.data, None

@@ -315,17 +315,17 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
     return trace
 
 
-def expansion_residual(v0, k: Kernel, domain_length: float = 1.0):
+def expansion_residual(v0, k: Kernel):
     """Residual of one filter step against its second-order small-h model.
 
     v0: samples of a strictly decreasing C^3 function on a uniform grid of
-    M >= 256 points over [0, domain_length]; each sample carries mass L/M.
+    M >= 256 points over [0, 1]; each sample carries mass 1/M.
     Returns (residual, ktilde):
 
       residual — v1 - [v0 + a1*ktilde*v0'*h - a2*(v0''/v0'^2)*h^2] restricted
                  to the middle 50% of the grid (the border term dominates the
                  outer quarters), with a1 = 1/sqrt(pi) and a2 = 1;
-      ktilde   — the border profile K_h(v0 - v0(L))/v0'(L)
+      ktilde   — the border profile K_h(v0 - v0(1))/v0'(1)
                  - K_h(v0 - v0(0))/v0'(0) on the full grid.
 
     Requires a Gaussian kernel (the model's constants are Gaussian-specific)
@@ -339,11 +339,7 @@ def expansion_residual(v0, k: Kernel, domain_length: float = 1.0):
         raise ValueError("need at least 256 samples")
     if not np.all(np.diff(v) < 0.0):
         raise ValueError("samples must be strictly decreasing")
-
-    length = float(domain_length)
-    if not length > 0.0:
-        raise ValueError("domain_length must be positive")
-    dt = length / m
+    dt = 1.0 / m
 
     vp = np.gradient(v, dt, edge_order=2)
     if np.min(np.abs(vp)) < 1e-8:

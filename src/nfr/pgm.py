@@ -5,8 +5,8 @@ takes b"P5", then width, height and maxval, each a token (a byte other than
 ASCII whitespace and '#', then any non-whitespace bytes) after any run of
 whitespace and '#' comments (each to the next b"\\r" or b"\\n"), then exactly
 one whitespace byte before the raster.  Samples above 255 use two bytes per
-pixel, big endian, most significant byte first.  Round trips of canonically
-written files are byte-identical.
+pixel, big endian, most significant byte first, and none may exceed maxval.
+Round trips of canonically written files are byte-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if len(buf) - offset < need:
         raise PgmError(f"{path}: raster has {len(buf) - offset} bytes, needs {need}")
     data = np.frombuffer(buf, dtype, count=width * height, offset=offset)
+    if maxval < 256 ** dtype.itemsize - 1 and data.max() > maxval:
+        raise PgmError(f"{path}: a sample exceeds maxval {maxval}")
     if maxval > 255:
         data = data.astype(np.uint16)
     return data.reshape(height, width), maxval

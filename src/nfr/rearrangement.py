@@ -17,10 +17,10 @@ by np.bincount over slices, with no float64 copy of the image, and codes of
 equal value merge through one np.unique over the value table, in O(Q).
 Float data is first sorted and counted by np.unique, in O(N log N), whose
 inverse becomes its codes and whose distinct values need no merge.  The
-level structure maps each code to its level, so it holds no per-pixel
-array of its own, and a level at zero is +0.0 whichever zeros the image
-holds.  `histogram` is the same level structure in
-ascending order.
+levels, values and masses, live in the rearrangement alone, and a level at
+zero is +0.0 whichever zeros the image holds.  The level structure only
+maps each code to its level, so it holds no per-pixel array of its own.
+`histogram` is the rearrangement in ascending order.
 """
 
 from __future__ import annotations
@@ -100,41 +100,28 @@ class Image:
 
 @dataclass(frozen=True, eq=False)
 class LevelStructure:
-    """Distinct levels of a coded image and the level of each of its codes.
+    """The level of each code of a coded image.
 
-    values are strictly descending, masses are the positive pixel counts per
-    level, and level_of_code[c] is the index into values for code c of
-    `image` (0 for a code no pixel holds), so
-    values[level_of_code[image.raster]] reproduces the image.  The checks
-    are O(Q) in the table size: `Image` has checked the codes.
+    The levels themselves, values and masses, are the rearrangement's;
+    level_of_code[c] is the index into them for code c of `image` (0 for a
+    code no pixel holds), so rearr.values[level_of_code[image.raster]]
+    reproduces the image.  Every level holds a code, so the level count is
+    level_of_code.max() + 1.  The checks are O(Q) in the table size:
+    `Image` has checked the codes.
     """
 
-    values: np.ndarray
-    masses: np.ndarray
     level_of_code: np.ndarray
     image: Image
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        masses = np.asarray(self.masses, dtype=np.int64)
         level_of_code = np.asarray(self.level_of_code, dtype=np.intp)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "level_of_code", level_of_code)
         if self.image.table is None:
             raise ValueError("a level structure needs a coded image")
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        if np.any(np.diff(values) >= 0):
-            raise ValueError("level values must be strictly descending")
-        if masses.shape != values.shape or np.any(masses < 1):
-            raise ValueError("each level needs a positive integer mass")
         if level_of_code.shape != self.image.table.shape:
             raise ValueError("level_of_code needs one level per table entry")
-        if int(masses.sum()) != self.image.n:
-            raise ValueError("masses must sum to the pixel count")
-        if level_of_code.min() < 0 or level_of_code.max() >= values.size:
-            raise ValueError("level_of_code contains out-of-range levels")
+        if level_of_code.min() < 0:
+            raise ValueError("level_of_code contains negative levels")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +183,9 @@ _COUNT_SLICE = 1 << 16  # codes per bincount (512 KiB as intp), or the table siz
 def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]:
     """Group the image into descending distinct levels.
 
-    Returns the rearrangement (values with real masses, ready for the 1-D
-    filter) and the level structure (integer masses plus the level of each
-    code, needed to reconstruct images).  Float data is first sorted by
+    Returns the rearrangement (the levels: values with their masses, ready
+    for the 1-D filter) and the level structure (the level of each code,
+    needed to reconstruct images).  Float data is first sorted by
     np.unique, in O(N log N), which also counts its distinct values, and
     becomes the coded image of those values and the sort's inverse.  Any
     other coded image's codes are counted into one bin per table entry, in
@@ -224,9 +211,8 @@ def decreasing_rearrangement(img: Image) -> tuple[Rearrangement, LevelStructure]
     present = np.flatnonzero(merged)[::-1]
     lut = np.zeros(merged.size, dtype=np.intp)  # an absent code maps to level 0
     lut[present] = np.arange(present.size)
-    values, masses = code_values[present] + 0.0, merged[present]  # -0.0 + 0.0 is +0.0
-    rearr = Rearrangement(values, masses.astype(np.float64))
-    return rearr, LevelStructure(values.copy(), masses, lut[merge], img)
+    rearr = Rearrangement(code_values[present] + 0.0, merged[present])  # -0.0 + 0.0 is +0.0
+    return rearr, LevelStructure(lut[merge], img)
 
 
 def reconstruct(levels: LevelStructure, new_values) -> Image:
@@ -239,15 +225,15 @@ def reconstruct(levels: LevelStructure, new_values) -> Image:
     input one.
     """
     nv = np.asarray(new_values, dtype=np.float64).ravel()
-    if nv.size != levels.values.size:
-        raise ValueError(
-            f"expected {levels.values.size} level values, got {nv.size}"
-        )
+    q = int(levels.level_of_code.max()) + 1
+    if nv.size != q:
+        raise ValueError(f"expected {q} level values, got {nv.size}")
     img = levels.image
     return Image(img.raster, img.shape, nv[levels.level_of_code])
 
 
 def histogram(img: Image) -> list[tuple[float, int]]:
     """Distinct (value, mass) pairs in ascending value order."""
-    _, levels = decreasing_rearrangement(img)
-    return list(zip(levels.values[::-1].tolist(), levels.masses[::-1].tolist()))
+    rearr, _ = decreasing_rearrangement(img)
+    return list(zip(rearr.values[::-1].tolist(),
+                    rearr.masses[::-1].astype(np.int64).tolist()))

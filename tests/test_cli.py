@@ -19,6 +19,7 @@ from nfr import synthetic
 from nfr.cli import (FormatError, _fmt, _write_rows, load_image, read_float_csv,
                      write_float_csv)
 
+from test_pgm import ABOVE_MAXVAL
 from test_rearrangement import PARITY_CASES, assert_same_levels
 
 
@@ -78,7 +79,7 @@ class TestRearrange:
         write_float_csv(src, Image(np.array([*values, 2.0, 2.0]), (2, 3)))
         assert nfr.cli.main(["rearrange", "--input", str(src), "--prefix",
                              str(tmp_path / "m")]) == 0
-        rearr, levels = decreasing_rearrangement(read_float_csv(src))
+        rearr, _ = decreasing_rearrangement(read_float_csv(src))
         cum = np.concatenate(([0.0], np.cumsum(rearr.masses)[:-1]))
         assert (tmp_path / "m.rearrangement.csv").read_text() == "".join(
             ["cumulative_mass_start,mass,value\n"]
@@ -86,7 +87,7 @@ class TestRearrange:
                for c, m, v in zip(cum, rearr.masses, rearr.values)])
         assert (tmp_path / "m.histogram.csv").read_text() == "".join(
             ["value,mass\n"] + [f"{_fmt(v)},{int(m)}\n"
-                                 for v, m in zip(levels.values[::-1], levels.masses[::-1])])
+                                 for v, m in zip(rearr.values[::-1], rearr.masses[::-1])])
 
         noisy = tmp_path / "noisy.csv"
         assert nfr.cli.main(["noise", "--input", str(squares_pgm), "--output", str(noisy),
@@ -586,13 +587,13 @@ class TestFloatCsv:
         path = tmp_path / "in.pgm"
         write_pgm(path, values, 65535)
         img, _ = load_image(path)
-        _, levels = decreasing_rearrangement(img)
-        out = reconstruct(levels, np.sqrt(levels.values) + 0.125)
+        rearr, levels = decreasing_rearrangement(img)
+        out = reconstruct(levels, np.sqrt(rearr.values) + 0.125)
         assert out.raster is img.raster and out.table.size == 1 << 16
         calls = []
         monkeypatch.setattr(nfr.cli, "_fmt", lambda x: calls.append(x) or _fmt(x))
         write_float_csv(tmp_path / "coded.csv", out)
-        assert len(calls) <= np.unique(out.table).size == levels.values.size == 4000
+        assert len(calls) <= np.unique(out.table).size == rearr.values.size == 4000
         monkeypatch.undo()
         write_float_csv(tmp_path / "float.csv", Image(out.data, out.shape))
         assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
@@ -639,8 +640,8 @@ class TestCodedCsv:
         img = read_float_csv(path)
         assert img.table is not None and np.signbit(img.table[0])
         assert read_outcome(read_float_csv, path) == read_outcome(loadtxt_reader, path)
-        levels = assert_same_levels(img)
-        assert levels.values[-1] == 0.0 and not np.signbit(levels.values[-1])
+        r = assert_same_levels(img)
+        assert r.values[-1] == 0.0 and not np.signbit(r.values[-1])
 
     def test_both_zeros_are_one_positive_level(self, tmp_path):
         path = _coded_csv(tmp_path / "x.csv", [b"-0", b"0", b"0.5", b"0"] * 400)
@@ -648,9 +649,9 @@ class TestCodedCsv:
         assert img.table.tolist() == [0.0, 0.0, 0.5]  # -0 and 0: still coded
         assert np.signbit(img.table).tolist() == [True, False, False]
         assert np.array_equal(np.signbit(img.data), np.tile([True, False, False, False], 400))
-        levels = assert_same_levels(img)
-        assert levels.values.tolist() == [0.5, 0.0] and levels.masses.tolist() == [400, 1200]
-        assert not np.signbit(levels.values[-1])
+        r = assert_same_levels(img)
+        assert r.values.tolist() == [0.5, 0.0] and r.masses.tolist() == [400, 1200]
+        assert not np.signbit(r.values[-1])
 
     @pytest.mark.parametrize("bad", [b"nan", b"-inf"])
     def test_non_finite_token_is_refused(self, tmp_path, bad):
@@ -686,9 +687,9 @@ class TestCodedCsv:
             return unique(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
-        _, levels = decreasing_rearrangement(read_float_csv(path))
+        r, _ = decreasing_rearrangement(read_float_csv(path))
         assert calls == [table.size]  # on the table of distinct tokens only
-        assert levels.values.size == table.size
+        assert r.values.size == table.size
 
 
 class TestSegmentCommand:
@@ -879,6 +880,14 @@ class TestExitCodes:
                            "--output", str(tmp_path / "o.pgm"), "--h", "10"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("case", sorted(ABOVE_MAXVAL))
+    def test_sample_above_maxval_is_3(self, tmp_path, case):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(ABOVE_MAXVAL[case])
+        r = run("rearrange", "--input", bad, "--prefix", tmp_path / "x")
+        assert r.returncode == 3
+        assert "a sample exceeds maxval" in r.stderr
 
     def test_unknown_extension_is_3(self, tmp_path, squares_pgm):
         r = run("rearrange", "--input", squares_pgm.with_suffix(".bmp"),

@@ -813,9 +813,3 @@ class TestExpansionResidual:
         v = 1.0 - 1e-12 * t  # decreasing, but derivative ~1e-12
         with pytest.raises(ValueError):
             expansion_residual(v, make_kernel("gaussian", 0.05))
-
-    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan")])
-    def test_requires_positive_domain_length(self, length):
-        with pytest.raises(ValueError, match="domain_length must be positive"):
-            expansion_residual(self.grid(), make_kernel("gaussian", 0.05),
-                               domain_length=length)

@@ -8,6 +8,10 @@ import pytest
 from nfr import PgmError, quantize, read_pgm, write_pgm
 from nfr.pgm import _read_tokens
 
+# a sample above maxval, in an 8-bit and a 16-bit file
+ABOVE_MAXVAL = {"8-bit": b"P5\n2 1\n100\n" + bytes([7, 200]),
+                "16-bit": b"P5\n2 1\n1000\n" + np.array([7, 2000], dtype=">u2").tobytes()}
+
 
 def _reference_tokens(buf: bytes, count: int):
     """The byte-at-a-time header scan the pattern in `nfr.pgm` replaced:
@@ -125,6 +129,13 @@ class TestReadParsing:
             read_pgm(p)
         p.write_bytes(b"P5\n1 1\n65536\n\x00\x00")
         with pytest.raises(PgmError):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("case", sorted(ABOVE_MAXVAL))
+    def test_rejects_sample_above_maxval(self, tmp_path, case):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(ABOVE_MAXVAL[case])
+        with pytest.raises(PgmError, match=f"{p}: a sample exceeds maxval"):
             read_pgm(p)
 
     def test_rejects_truncated_raster(self, tmp_path):

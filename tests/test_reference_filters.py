@@ -102,8 +102,8 @@ class TestDirectNf:
         img = random_quantized(7)
         out = direct_nf(img, gauss(12.0), 4).data
         # pixels that started on one level must still share one value
-        _, levels = decreasing_rearrangement(img)
-        for lvl in range(levels.values.size):
+        r, levels = decreasing_rearrangement(img)
+        for lvl in range(r.values.size):
             vals = out[levels.level_of_code[levels.image.raster] == lvl]
             assert np.all(vals == vals[0])
 
