@@ -28,9 +28,10 @@ summed apart from the suffix sums of the masses.  Nothing is approximated;
 the band computes a third of Q^2 on noisy squares at h = 25, whose
 plateaus lie more than 6.2 h apart.  Any other profile gives J from its
 primitive over the Q(Q - 1)/2 pairs i < j.  The fixed scheme recomputes
-the K(v_0) blocks each step.  In both schemes a step applies Q^2 pair
-weights, zeros included, and that is what `iterate` counts in the kernel;
-the trace's `pairs_computed` counts the values the passes computed.
+the K(v_0) blocks each step.  `nf_step` is one pass, its J dropped.  A step
+applies Q^2 pair weights, zeros included, which `iterate` and `nf_step`
+count in the kernel; the trace's `pairs_computed` counts the values the
+passes computed, and only `expansion_residual`'s ktilde calls `eval_scaled`.
 
 `functional_j` is the stopping functional: a double sum of the kernel
 primitive over squared level differences.  Its gradient in each level value
@@ -66,6 +67,17 @@ def _gauss_minus_one(d: np.ndarray) -> np.ndarray:
     return np.expm1(d, out=d)
 
 
+def _int_param(name: str, value, least: int) -> int:
+    """value as an int >= least, else ValueError naming the parameter."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        n = None
+    if n is None or n != value or n < least:
+        raise ValueError(f"{name} must be >= {least} and a finite integer, got {value!r}")
+    return n
+
+
 @dataclass
 class FilterConfig:
     kernel: Kernel
@@ -80,9 +92,7 @@ class FilterConfig:
             raise ValueError("stop_tolerance must be positive")
         if math.isinf(self.stop_tolerance):
             raise ValueError("stop_tolerance must be finite")
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
-        self.max_iterations = int(self.max_iterations)
+        self.max_iterations = _int_param("max_iterations", self.max_iterations, 1)
 
 
 @dataclass
@@ -134,11 +144,13 @@ def _guard_step_values(out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _checked_step(nd: np.ndarray, v: Rearrangement, k: Kernel) -> Rearrangement:
-    """The step num/den of v from the columns of nd, through the guard.
+    """The step num/den of v from the columns of nd, through the guard,
+    with its Q^2 pair weights added to `k.evaluations`.
 
     An upward jump the guard leaves is a genuine order violation: the kernel
     k does not preserve the level order, so the result is no rearrangement.
     """
+    k.add_evaluations(v.values.size ** 2)
     out = _guard_step_values(nd[:, 0] / nd[:, 1], v.values)
     if np.any(np.diff(out) > 0.0):
         raise ValueError(
@@ -153,16 +165,12 @@ def nf_step(v_weights: Rearrangement, v_values: Rearrangement, k: Kernel) -> Rea
 
     Weights are read from v_weights (pass the same object for the varying
     scheme, the initial rearrangement for the fixed one); both arguments must
-    live on the same mass partition.  Performs exactly Q^2 kernel
-    evaluations, all through `eval_scaled`, on one dense Q x Q matrix: the
-    one-step reference for `iterate`'s blocked passes.  One product with
-    [m*x, m] gives the numerators and the row sums together.
+    live on the same mass partition.  One pass of `iterate`'s block loop
+    `_pass`, its J dropped, so never Q x Q; counts the step's Q^2 weights.
     """
     if not np.array_equal(v_weights.masses, v_values.masses):
         raise ValueError("mass partitions of weights and values differ")
-    w, x, m = v_weights.values, v_values.values, v_values.masses
-    kmat = eval_scaled(k, w[:, None] - w[None, :])
-    return _checked_step(kmat @ np.stack((m * x, m), axis=1), v_values, k)
+    return _checked_step(_pass(k, v_values, v_weights.values)[1], v_values, k)
 
 
 def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
@@ -203,8 +211,8 @@ def _pass(k: Kernel, v: Rearrangement, w: np.ndarray | None):
     full-row computation.  For any other profile, whatever attributes it
     carries, hi = Q, and J is twice the sum of m_i m_j g((v_i - v_j)^2)
     over the pairs i < j of the blocks.  The count is of the values the
-    blocks compute (expm1, or g and the profile); `iterate` counts the Q^2
-    pair weights of each step apart.
+    blocks compute (expm1, or g and the profile); `_checked_step` counts
+    the Q^2 pair weights of each step apart.
     """
     x, m, h = v.values, v.masses, k.h
     q = x.size
@@ -310,7 +318,6 @@ def iterate(v0: Rearrangement, cfg: FilterConfig) -> FilterTrace:
             trace.stop_reason = "tolerance"
             break
         if more:
-            k.add_evaluations(v.values.size ** 2)
             v = _checked_step(nd, v, k)
     return trace
 

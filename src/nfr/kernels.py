@@ -8,12 +8,13 @@ for kernels passing the symmetric-decay check below; of the built-ins, only
 the Gaussian does.
 
 Each kernel keeps a counter of evaluations on the filtering path, used by
-the complexity benchmarks: `eval_scaled` adds one per value it returns, and
-`filter1d.iterate`, which builds its weights block by block itself, adds Q^2
-for each step it applies, in both schemes: the pair weights the step uses.
-Its pass, for every profile, computes at most Q(Q + r)/2 of them for r-row
+the complexity benchmarks.  `filter1d.iterate` and `filter1d.nf_step`, which
+build their weights block by block, add Q^2 through `add_evaluations` for
+each step they apply, in both schemes: the pair weights the step uses.
+Their pass, for every profile, computes at most Q(Q + r)/2 of them for r-row
 blocks and uses each for both orders of its pair; the Gaussian's computes
-none for pairs more than 6.2 h apart (exact zeros).
+none for pairs more than 6.2 h apart (exact zeros).  `eval_scaled`, called
+only by the pixel-domain filters and ktilde, adds one per value it returns.
 
 The primitive g used by the stopping functional comes from the profile's own
 `primitive`: a closed form for the Gaussian, and for the power family at
@@ -92,12 +93,11 @@ class PowerDecayProfile:
 class Kernel:
     """A profile together with its scale h.
 
-    `evaluations` counts scalar evaluations of the filter weights: those
-    made through `eval_scaled`, plus the Q^2 per applied step that
-    `filter1d.iterate` reports through `add_evaluations` (the pair weights
-    the step uses; a pass computes each unordered pair's weight once and
-    uses it for both orders of the pair); the counter is
-    lock-protected so concurrent filtering keeps it exact.
+    `evaluations` counts scalar evaluations of the filter weights: the Q^2
+    per applied step of `filter1d.iterate` and `nf_step`, through
+    `add_evaluations` (a pass computes each unordered pair's weight once and
+    uses it for both orders), plus one per value of `eval_scaled`; the
+    counter is lock-protected so concurrent filtering keeps it exact.
     Diagnostic paths (decay checks, the primitive) do not count.
     """
 

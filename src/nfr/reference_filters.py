@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter1d import _guard_step_values
+from .filter1d import _guard_step_values, _int_param
 from .kernels import Kernel, eval_scaled
 from .rearrangement import Image
 
@@ -46,13 +46,9 @@ class SpatialConfig:
             raise ValueError("rho must be positive")
         if math.isinf(self.rho):
             raise ValueError("rho must be finite")
-        if int(self.patch_radius) < 0:
-            raise ValueError("patch_radius must be >= 0")
-        self.patch_radius = int(self.patch_radius)
+        self.patch_radius = _int_param("patch_radius", self.patch_radius, 0)
         if self.window_radius is not None:
-            if int(self.window_radius) < 1:
-                raise ValueError("window_radius must be >= 1")
-            self.window_radius = int(self.window_radius)
+            self.window_radius = _int_param("window_radius", self.window_radius, 1)
 
 
 def default_workers() -> int:
@@ -103,17 +99,13 @@ def direct_nf(img: Image, k: Kernel, iterations: int, scheme: str = "varying",
     go to `workers` >= 1 threads (default `default_workers()`); each
     block's outputs are the same whichever thread computes it.
     """
-    if int(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = _int_param("iterations", iterations, 0)
     if scheme not in ("varying", "fixed"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if workers is None:
-        workers = default_workers()
-    elif int(workers) < 1:
-        raise ValueError("workers must be >= 1")
+    workers = default_workers() if workers is None else _int_param("workers", workers, 1)
     u0 = img.data
     un = u0.copy()
-    for _ in range(int(iterations)):
+    for _ in range(iterations):
         um = u0 if scheme == "fixed" else un
         vals_asc, first, inverse, counts = np.unique(
             um, return_index=True, return_inverse=True, return_counts=True
@@ -142,12 +134,11 @@ def _windowed(img: Image, wr: int, pr: int, iterations: int, weight,
     """
     if len(img.shape) != 2:
         raise ValueError(f"{name} requires a 2-D image")
-    if int(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = _int_param("iterations", iterations, 0)
     u = img.to_array()
     h_, w_ = u.shape
     lo, hi = float(u.min()), float(u.max())
-    for _ in range(int(iterations)):
+    for _ in range(iterations):
         pad = np.pad(u, pr, mode="symmetric")
         num = np.zeros_like(u)
         den = np.zeros_like(u)

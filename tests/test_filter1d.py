@@ -8,7 +8,7 @@ import pytest
 
 import nfr.filter1d
 import nfr.kernels
-from conftest import random_quantized
+from conftest import dense_step, random_quantized
 from nfr import (
     FilterConfig,
     GaussianProfile,
@@ -111,6 +111,27 @@ class TestNfStep:
         fixed2 = nf_step(v0, v1, k)
         varying2 = nf_step(v1, v1, k)
         assert not np.array_equal(fixed2.values, varying2.values)
+
+    @pytest.mark.parametrize("rows", [None, 4], ids=["one-block", "4-row-blocks"])
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("make", [
+        lambda: make_kernel("gaussian", 25.0), lambda: make_kernel("power", 1000.0, 2.0),
+        lambda: make_kernel("power", 1000.0, 3.0), lambda: Kernel(Laplace(), 25.0)],
+        ids=["gaussian", "power2", "power3", "laplace"])
+    def test_matches_dense_step(self, make, scheme, rows, monkeypatch):
+        # Q = 128 is one block, or 32 blocks of 4 rows; at h = 25 the
+        # Gaussian's band leaves out the pairs more than 155 apart
+        q = 128
+        if rows is not None:
+            monkeypatch.setattr(nfr.filter1d, "_BLOCK_BYTES", rows * 8 * q)
+        v, w = pass_inputs(q, scheme)
+        weights = v if scheme == "varying" else Rearrangement(w, v.masses)
+        k, k_ref = make(), make()
+        got = nf_step(weights, v, k)
+        want = dense_step(weights, v, k_ref)
+        assert k.evaluations == k_ref.evaluations == q * q
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(v.values))))
 
 
 class TestFunctionalJ:
@@ -285,6 +306,10 @@ class TestIterate:
             FilterConfig(gauss(1.0), max_iterations=0)
         with pytest.raises(ValueError, match="stop_tolerance must be finite"):
             FilterConfig(gauss(1.0), stop_tolerance=math.inf)
+        for bad in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_iterations must be >= 1 and a finite"):
+                FilterConfig(gauss(1.0), max_iterations=bad)
+        assert FilterConfig(gauss(1.0), max_iterations=3.0).max_iterations == 3
 
     def test_non_finite_j_is_refused(self):
         # h^2 is finite, but h^2 times the pair sum overflows
@@ -294,7 +319,7 @@ class TestIterate:
 
 
 def reference_iterate(v0, cfg):
-    """`iterate` spelled out from nf_step and `full_j`."""
+    """`iterate` spelled out from `dense_step` and `full_j`."""
     k = cfg.kernel
     iterates, j_values, reason = [v0], [full_j(v0, k)], "max_iterations"
     for _ in range(cfg.max_iterations):
@@ -302,7 +327,7 @@ def reference_iterate(v0, cfg):
             reason = "tolerance"
             break
         weights = v0 if cfg.scheme == "fixed" else iterates[-1]
-        iterates.append(nf_step(weights, iterates[-1], k))
+        iterates.append(dense_step(weights, iterates[-1], k))
         j_values.append(full_j(iterates[-1], k))
         if abs(j_values[-1] - j_values[-2]) / abs(j_values[-2]) < cfg.stop_tolerance:
             reason = "tolerance"
@@ -425,9 +450,9 @@ class TestGaussianPass:
 
     @pytest.mark.parametrize("scheme, buffers", [("varying", 1.5), ("fixed", 2.5)])
     def test_peak_memory(self, scheme, buffers):
-        # never above the dense passes: one Q x Q float64 buffer for the
-        # varying scheme, K(v0) plus one for the fixed scheme (the few-block
-        # bound is TestMemoryBudget's)
+        # a loose bound in Q x Q float64 matrices, 1.5 for the varying
+        # scheme and 2.5 for the fixed one, far above the blocked passes
+        # (the few-block bound is TestMemoryBudget's)
         q = 1024
         v0 = Rearrangement(np.linspace(255.0, 0.0, q), np.ones(q))
         cfg = FilterConfig(make_kernel("gaussian", 25.0), scheme=scheme,
@@ -607,8 +632,8 @@ class TestExactBand:
 
 
 class PlainGaussian:
-    """exp(-s^2) as a custom profile without `minus_one` and `primitive`, so
-    `iterate` takes J from the quadrature rule over i < j pairs."""
+    """exp(-s^2) as a custom profile without `primitive`, so `iterate`
+    takes J from the quadrature rule over i < j pairs."""
 
     def __call__(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -625,7 +650,7 @@ class TestEngines:
         (5.0, lambda: random_quantized(11)), (25.0, lambda: random_quantized(11)),
         (80.0, lambda: random_quantized(11)), (25.0, noisy_squares_32)],
         ids=["5.0", "25.0", "80.0", "noisy_squares32-25.0"])
-    def test_dense_engine_matches_gaussian_engine(self, scheme, h, image):
+    def test_primitive_path_matches_gaussian_band(self, scheme, h, image):
         # noisy squares: Q = 1024, so PlainGaussian's pass is 8 blocks
         v0 = decreasing_rearrangement(image())[0]
         kg, kd = make_kernel("gaussian", h), Kernel(PlainGaussian(), h)
@@ -707,6 +732,24 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert trace.iterations == 1
         assert peak <= 16 * budget <= 8 * q * q / 100
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_nf_step_peak_and_count(self, scheme):
+        # one step at Q = 8192, where a dense Q x Q float64 matrix is 512 MiB
+        q = 8192
+        v = Rearrangement(np.linspace(255.0, 0.0, q), np.ones(q))
+        weights = v if scheme == "varying" else Rearrangement(
+            np.linspace(300.0, -40.0, q), v.masses)
+        k = make_kernel("gaussian", 25.0)
+        tracemalloc.start()
+        try:
+            out = nf_step(weights, v, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(out.values) <= 0.0)
+        assert k.evaluations == q * q
+        assert peak <= 4 * 2**20
 
 
 class TestPowerKernel:

@@ -181,6 +181,11 @@ class TestDirectNf:
             direct_nf(img, gauss(1.0), -1)
         with pytest.raises(ValueError):
             direct_nf(img, gauss(1.0), 1, scheme="oscillating")
+        for bad in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="iterations must be >= 0 and a finite"):
+                direct_nf(img, gauss(1.0), bad)
+            with pytest.raises(ValueError, match="workers must be >= 1 and a finite"):
+                direct_nf(img, gauss(1.0), 1, workers=bad)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_workers_below_one(self, gauss, workers):
@@ -273,6 +278,14 @@ class TestNlm:
         assert rmse(squares_clean, out) < 0.5 * rmse(squares_clean, noisy_squares)
 
 
+@pytest.mark.parametrize("windowed", [bilateral, nlm])
+def test_windowed_rejects_non_integral_iterations(gauss, windowed):
+    img = Image.from_array(np.arange(12.0).reshape(3, 4))
+    for bad in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="iterations must be >= 0 and a finite"):
+            windowed(img, gauss(5.0), SpatialConfig(rho=1.0), bad)
+
+
 class TestSpatialConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -281,3 +294,10 @@ class TestSpatialConfig:
             SpatialConfig(rho=1.0, patch_radius=-1)
         with pytest.raises(ValueError):
             SpatialConfig(rho=1.0, window_radius=0)
+        for bad in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="patch_radius must be >= 0 and a finite"):
+                SpatialConfig(rho=1.0, patch_radius=bad)
+            with pytest.raises(ValueError, match="window_radius must be >= 1 and a finite"):
+                SpatialConfig(rho=1.0, window_radius=bad)
+        sp = SpatialConfig(rho=1.0, patch_radius=2.0, window_radius=3.0)
+        assert (sp.patch_radius, sp.window_radius) == (2, 3)
