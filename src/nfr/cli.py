@@ -27,9 +27,10 @@ block is mostly distinct, or which passes 2^16 distinct tokens, is
 converted a block at a time; a body on one line is cut at spaces.
 `denoise` and `segment` write a one-line JSON report (sorted keys)
 through one writer, `_write_report`, with the pixel count `n`, the
-level count `q` of the rearrangement the run filtered and the pair values
-its passes computed, `pairs_computed` (both null for the pixel-domain
-filters); only `segment` adds `region_count`.  The PGM copy of an nf
+level count `q` of the rearrangement the run filtered, the values its
+passes computed, `pairs_computed`, and each pass's engine, `engines`
+("band" or "box"; all three null for the pixel-domain filters); only
+`segment` adds `region_count`.  The PGM copy of an nf
 output quantizes its value table and gathers it through the codes.
 `--max-iter` is every filter's one step count, at least 1 (nf and
 `segment` may stop earlier on `--tol`); `denoise` resolves its
@@ -264,6 +265,7 @@ def _write_report(path, args, k, ticks, outputs, trace, **fields):
         "stop_reason": None if trace is None else trace.stop_reason,
         "j_trace": None if trace is None else trace.j_values,
         "pairs_computed": None if trace is None else trace.pairs_computed,
+        "engines": None if trace is None else trace.engines,
         **fields,
         "kernel_evaluations": k.evaluations,
         "timings_ms": dict(zip(("read", "filter", "write"),

@@ -1088,8 +1088,8 @@ class TestReport:
         import nfr.cli
 
         keys = {"command", "params", "n", "q", "iterations", "stop_reason",
-                "j_trace", "kernel_evaluations", "pairs_computed", "timings_ms",
-                "outputs"}
+                "j_trace", "kernel_evaluations", "pairs_computed", "engines",
+                "timings_ms", "outputs"}
         run_params = {"command", "input", "kernel", "h", "p", "scheme",
                       "max_iter", "tol", "report"}
         levels = np.unique(synthetic.squares(16).to_array().astype(np.uint8)).size
@@ -1106,13 +1106,15 @@ class TestReport:
             assert set(report["timings_ms"]) == {"read", "filter", "write"}
             assert report["n"] == 16 * 16, name
             assert report["q"] == (levels if name == "nf" else None), name
-            if name == "nf":  # one block: each pass computes Q^2 values
+            if name == "nf":  # one band block: each pass computes Q^2 values
                 assert report["pairs_computed"] == (
                     (report["iterations"] + 1) * levels * levels)
+                assert report["engines"] == ["band"] * (report["iterations"] + 1)
             else:
                 assert report["stop_reason"] is None, name
                 assert report["j_trace"] is None, name
                 assert report["pairs_computed"] is None, name
+                assert report["engines"] is None, name
 
         rc = nfr.cli.main(["segment", "--input", str(squares_pgm),
                            "--prefix", str(tmp_path / "seg"), "--h", "25",
@@ -1122,6 +1124,7 @@ class TestReport:
         assert set(report) == keys | {"region_count"}
         assert (report["n"], report["q"]) == (16 * 16, levels)
         assert report["pairs_computed"] == (report["iterations"] + 1) * levels * levels
+        assert report["engines"] == ["band"] * (report["iterations"] + 1)
         assert set(report["params"]) == run_params | {"prefix", "merge_tol"}
         assert set(report["timings_ms"]) == {"read", "filter", "write"}
 

@@ -1,7 +1,14 @@
 """Single filter steps, the descent functional, iteration control, expansion."""
 
+import functools
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +39,13 @@ from nfr import (
 
 def step_self(r, k):
     return nf_step(r, r, k)
+
+
+def force_engine(monkeypatch, engine):
+    """Make every `_pass` of `iterate`, `nf_step` and `functional_j` run
+    `engine` ("band" or "box") whatever the cost rule picks."""
+    monkeypatch.setattr(nfr.filter1d, "_pass",
+                        functools.partial(nfr.filter1d._pass, _engine=engine))
 
 
 def full_j(v, k):
@@ -75,6 +89,21 @@ class TestNfStep:
         r2 = Rearrangement([5.0, 1.0], [2.0, 1.0])
         with pytest.raises(ValueError):
             nf_step(r1, r2, gauss(1.0))
+
+    def test_step_takes_no_j(self):
+        # the squared difference overflows, which the log-radius rule of the
+        # p = 3 primitive refuses; the step itself needs no primitive, and its
+        # weights (1 / (1 + inf) = 0 across the gap, so numpy's overflow
+        # warning is expected) leave the levels as they are
+        r = Rearrangement([1e200, -1e200], [1.0, 1.0])
+        k = make_kernel("power", 1.0, 3.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="log-radius rule needs finite"):
+                functional_j(r, k)
+            out = nf_step(r, r, k)
+            want = dense_step(r, r, make_kernel("power", 1.0, 3.0))
+        assert out.values.tolist() == want.values.tolist() == [1e200, -1e200]
+        assert k.evaluations == 4
 
     def test_output_is_rearrangement(self, gauss):
         # ordering must survive the step for the log-concave kernel
@@ -424,8 +453,9 @@ class TestGaussianPass:
         k = make_kernel("gaussian", h)
         v, w = pass_inputs(362, scheme)
         assert nfr.filter1d._BLOCK_BYTES // (8 * 362) >= 362
-        j, nd, _ = nfr.filter1d._pass(k, v, w)
+        j, nd, _, engine = nfr.filter1d._pass(k, v, w, _engine="band")
         j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
+        assert engine == "band"
         assert j == j_ref
         assert np.array_equal(nd, nd_ref)
 
@@ -440,8 +470,9 @@ class TestGaussianPass:
             monkeypatch.setattr(nfr.filter1d, "_BLOCK_BYTES", rows * 8 * q)
         k = make_kernel("gaussian", h)
         v, w = pass_inputs(q, scheme)
-        j, nd, _ = nfr.filter1d._pass(k, v, w)
+        j, nd, _, engine = nfr.filter1d._pass(k, v, w, _engine="band")
         j_ref, nd_ref = full_row_gaussian_pass(k, v, w)
+        assert engine == "band"
         np.testing.assert_allclose(j, j_ref, rtol=1e-12, atol=1e-12 * abs(j_ref))
         for col in range(2):
             scale = float(np.max(np.abs(nd_ref[:, col])))
@@ -480,7 +511,8 @@ class TestGaussianPass:
 def full_column_pass(k, v, w):
     """`_pass`'s Gaussian branch before the band: every row block [a, b),
     of _BLOCK_BYTES / 8Q rows, takes all the columns [a, Q).  The reference
-    for the band, which drops the columns whose weights are exact zeros."""
+    for the band, which drops the columns whose weights are exact zeros;
+    it stands in for `_pass` in `iterate`, so it names its engine."""
     x, m, h = v.values, v.masses, k.h
     rows = max(1, nfr.filter1d._BLOCK_BYTES // (8 * x.size))
     nd = None if w is None else np.zeros((x.size, 2))
@@ -502,7 +534,7 @@ def full_column_pass(k, v, w):
             e += 1.0
             nd[a:b] += e @ rhs[a:]
             nd[b:] += e[:, b - a:].T @ rhs[a:b]
-    return 0.0 - (h * h) * total, nd, pairs
+    return 0.0 - (h * h) * total, nd, pairs, "full-column"
 
 
 def spread_levels(q, ratio):
@@ -561,7 +593,7 @@ class TestExactBand:
         v, h = spread_levels(q, ratio)
         w = v.values if scheme == "varying" else spread_levels(q, ratio + 1.0)[0].values
         shapes = record_gaussian_blocks(monkeypatch)
-        nfr.filter1d._pass(make_kernel("gaussian", h), v, w)
+        nfr.filter1d._pass(make_kernel("gaussian", h), v, w, _engine="band")
         # blocks come in row order, for the fixed scheme as (v, w) pairs
         shapes = shapes[::2] if scheme == "fixed" else shapes
         assert len(shapes) > 1
@@ -585,6 +617,7 @@ class TestExactBand:
         v0, h = spread_levels(2000, ratio)
         cfg = FilterConfig(make_kernel("gaussian", h), scheme=scheme,
                            stop_tolerance=1e-6, max_iterations=5)
+        force_engine(monkeypatch, "band")
         band = iterate(v0, cfg)
         monkeypatch.setattr(nfr.filter1d, "_pass", full_column_pass)
         ref = iterate(v0, cfg)
@@ -597,12 +630,13 @@ class TestExactBand:
                                        atol=1e-12 * 255.0)
 
     @pytest.mark.parametrize("scheme", ["varying", "fixed"])
-    def test_multi_block_band_matches_direct_nf(self, scheme):
+    def test_multi_block_band_matches_direct_nf(self, scheme, monkeypatch):
         # 64^2 float noisy squares: Q = N = 4096, 32-row blocks, and plateaus
         # far enough apart that a third of the pairs are computed
         img = add_gaussian_noise(synthetic.squares(64), NoiseSpec(10.0, 7))
         rearr, levels = decreasing_rearrangement(img)
         q, k = rearr.values.size, make_kernel("gaussian", 25.0)
+        force_engine(monkeypatch, "band")
         trace = iterate(rearr, FilterConfig(k, scheme=scheme, stop_tolerance=1e-300,
                                             max_iterations=3))
         assert q == 4096 and trace.pairs_computed < 0.5 * 4 * q * q
@@ -619,6 +653,7 @@ class TestExactBand:
         q = v0.values.size
         cfg = FilterConfig(make_kernel("gaussian", 20.0), scheme=scheme,
                            stop_tolerance=1e-300, max_iterations=4)
+        force_engine(monkeypatch, "band")
         band = iterate(v0, cfg)
         assert np.searchsorted(-v0.values, 124.0 - v0.values[0], side="right") < q
         assert band.pairs_computed == blocks * q * q
@@ -856,3 +891,221 @@ class TestExpansionResidual:
         v = 1.0 - 1e-12 * t  # decreasing, but derivative ~1e-12
         with pytest.raises(ValueError):
             expansion_residual(v, make_kernel("gaussian", 0.05))
+
+
+def box_gate_levels(name, q):
+    """The gates' level sets with their h: uniform levels over [0, 255) at
+    range / h = name, or 8 clusters of sd 1e-5 h over 13 h."""
+    rng = np.random.default_rng(q)
+    if name == "clusters":
+        centres = rng.uniform(0.0, 13.0, 8)
+        x = np.unique(centres[rng.integers(0, 8, q)] + 1e-5 * rng.standard_normal(q))
+        return Rearrangement(x[::-1], rng.integers(1, 9, x.size).astype(float)), 1.0
+    return (Rearrangement(np.sort(rng.uniform(0, 255, q))[::-1],
+                          rng.integers(1, 9, q).astype(float)), 255.0 / name)
+
+
+def exact_rows(v, w, h, rows):
+    """The [numerator, row sum] of the given rows of the step, in full."""
+    x, m = v.values, v.masses
+    d = np.subtract.outer(w[rows], w) / h
+    e = np.expm1(-(d * d)) + 1.0
+    return e @ np.stack((m * x, m), axis=1)
+
+
+class TestBoxEngine:
+    """The Chebyshev box engine against the band and the pixel oracle."""
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_c1_fixtures(self, scheme, monkeypatch):
+        # c1's fixtures, scales and 10 steps with every pass on the box
+        force_engine(monkeypatch, "box")
+        for seed in range(20):
+            img = random_quantized(seed)
+            rearr, levels = decreasing_rearrangement(img)
+            for h in (5.0, 20.0, 80.0):
+                cfg = FilterConfig(make_kernel("gaussian", h), scheme=scheme,
+                                   stop_tolerance=1e-300, max_iterations=10)
+                trace = iterate(rearr, cfg)
+                assert set(trace.engines) == {"box"}
+                got = reconstruct(levels, trace.iterates[-1].values).data
+                want = direct_nf(img, make_kernel("gaussian", h), 10, scheme, workers=1).data
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("name", [0.1, 1.0, 13.0, 31.0, 300.0, "clusters"])
+    def test_matches_the_band(self, name, scheme):
+        # one pass at Q = 2000: steps within 1e-12 scale, J within 1e-12
+        # (about 2000 for the clusters); the fixed scheme's weight levels are
+        # 0.8 v + 3, so a tighter set of the same shape
+        v, h = box_gate_levels(name, 2000)
+        w = v.values if scheme == "varying" else 0.8 * v.values + 3.0
+        k = make_kernel("gaussian", h)
+        j_box, nd_box, _, box = nfr.filter1d._pass(k, v, w, _engine="box")
+        j_band, nd_band, _, band = nfr.filter1d._pass(k, v, w, _engine="band")
+        assert (box, band) == ("box", "band")
+        scale = float(np.max(np.abs(v.values)))
+        np.testing.assert_allclose(nd_box[:, 0] / nd_box[:, 1], nd_band[:, 0] / nd_band[:, 1],
+                                   rtol=0.0, atol=1e-12 * scale)
+        assert abs(j_box - j_band) <= 1e-12 * j_band
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("name", [13.0, 300.0, "clusters"])
+    def test_rows_at_q_65536(self, name, scheme):
+        # Q = 65536, where the band takes seconds: 200 seeded rows of the
+        # step against their full sums, within 1e-12 scale
+        v, h = box_gate_levels(name, 65536)
+        w = v.values if scheme == "varying" else 0.8 * v.values + 3.0
+        j, nd, _, engine = nfr.filter1d._pass(make_kernel("gaussian", h), v, w)
+        assert engine == "box" and j > 0.0
+        rows = np.random.default_rng(3).choice(v.values.size, 200, replace=False)
+        want = exact_rows(v, w, h, rows)
+        scale = float(np.max(np.abs(v.values)))
+        np.testing.assert_allclose(nd[rows, 0] / nd[rows, 1], want[:, 0] / want[:, 1],
+                                   rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    @pytest.mark.parametrize("target", [3e-5, -5e-5, 8e-5])
+    def test_levels_near_zero(self, target, scheme, monkeypatch):
+        # noisy squares shifted so that a level of the zero plateau ends near
+        # target: 3 box steps within rtol 1e-10 of direct_nf, and no atol
+        base = add_gaussian_noise(synthetic.squares(32), NoiseSpec(10.0, 7)).data
+        cfg = FilterConfig(make_kernel("gaussian", 25.0), scheme=scheme,
+                           stop_tolerance=1e-300, max_iterations=3)
+        force_engine(monkeypatch, "band")
+        out = iterate(decreasing_rearrangement(Image.from_array(base))[0], cfg).iterates[-1].values
+        plateau = out[np.argmin(np.abs(out - np.median(out[out < 40])))]
+        img = Image.from_array(base - (plateau - target))
+        rearr, levels = decreasing_rearrangement(img)
+        force_engine(monkeypatch, "box")
+        trace = iterate(rearr, cfg)
+        got = reconstruct(levels, trace.iterates[-1].values).data
+        want = direct_nf(img, make_kernel("gaussian", 25.0), 3, scheme, workers=1).data
+        assert set(trace.engines) == {"box"} and np.min(np.abs(want)) < 1e-4
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_iteration_counts(self, scheme, monkeypatch):
+        # 64^2 float noisy squares (Q = N = 4096) to convergence: the box
+        # stops where the band does, with the same iterates to 1e-12 scale
+        for seed in (1, 2, 3):
+            img = add_gaussian_noise(synthetic.squares(64), NoiseSpec(10.0, seed))
+            v0 = decreasing_rearrangement(img)[0]
+            cfg = FilterConfig(make_kernel("gaussian", 25.0), scheme=scheme)
+            box = iterate(v0, cfg)
+            force_engine(monkeypatch, "band")
+            band = iterate(v0, cfg)
+            monkeypatch.undo()
+            assert set(box.engines) == {"box"} and set(band.engines) == {"band"}
+            assert (box.iterations, box.stop_reason) == (band.iterations, band.stop_reason)
+            scale = float(np.max(np.abs(v0.values)))
+            np.testing.assert_allclose(box.iterates[-1].values, band.iterates[-1].values,
+                                       rtol=0.0, atol=1e-12 * scale)
+
+    def test_collapse_is_a_constant(self, monkeypatch):
+        # levels within 2^-28 h of each other have weights of exactly 1.0 in
+        # the band, so the step is a constant; the box's is the same one
+        v = Rearrangement(128.0 + np.linspace(1e-12, 0.0, 1000), np.arange(1.0, 1001.0))
+        force_engine(monkeypatch, "box")
+        out = nf_step(v, v, make_kernel("gaussian", 80.0))
+        assert np.unique(out.values).size == 1
+        assert functional_j(out, make_kernel("gaussian", 80.0)) == 0.0
+
+    def test_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # children with 1 and 2 BLAS threads run 2 box steps at 60 to 8000
+        # boxes, where the transfer products have up to 127 rows per block
+        import nfr
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nfr.__file__)))
+        code = "\n".join((
+            "import functools, hashlib, numpy as np, nfr.filter1d as f",
+            "from nfr import FilterConfig, Rearrangement, iterate, make_kernel",
+            "f._pass = functools.partial(f._pass, _engine='box')",
+            "rng, out = np.random.default_rng(3), hashlib.sha256()",
+            "for q, ratio, scheme in ((4096, 7, 'varying'), (20000, 1000, 'fixed')):",
+            "    v = Rearrangement(np.sort(rng.uniform(0, 255, q))[::-1],",
+            "                      rng.integers(1, 9, q) * 1.0)",
+            "    t = iterate(v, FilterConfig(make_kernel('gaussian', 255 / ratio), scheme=scheme,",
+            "                                stop_tolerance=1e-300, max_iterations=2))",
+            "    out.update(t.iterates[-1].values.tobytes() + np.array(t.j_values).tobytes())",
+            "print(out.hexdigest())"))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS"), threads))
+            r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            digests.add(r.stdout)
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("scheme", ["varying", "fixed"])
+    def test_peak_memory(self, scheme):
+        # one pass at Q = 65536 (a Q x Q float64 matrix is 32 GiB): the basis
+        # of Q x 10 values, O(Q) vectors and one block of temporaries
+        q = 65536
+        v = Rearrangement(np.linspace(255.0, 0.0, q), np.ones(q))
+        w = v.values if scheme == "varying" else np.linspace(300.0, -40.0, q)
+        k = make_kernel("gaussian", 25.0)
+        tracemalloc.start()
+        try:
+            _, _, _, engine = nfr.filter1d._pass(k, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine == "box"
+        assert peak <= 8 * q * (nfr.filter1d._NODES + 8) + 4 * nfr.filter1d._BLOCK_BYTES
+
+    def test_pairs_computed(self):
+        # a box pass counts its interpolation and transfer entries: Q x 10
+        # basis values, 103 transfers of 10 x 10 per box for the step and 50
+        # for J, over the 105 boxes of 13 h at h/8
+        v, h = box_gate_levels(13.0, 2000)
+        _, _, pairs, engine = nfr.filter1d._pass(make_kernel("gaussian", h), v, v.values)
+        boxes = int(v.values[0] // nfr.filter1d._box_width(h)) - int(
+            v.values[-1] // nfr.filter1d._box_width(h)) + 1
+        assert engine == "box"
+        assert pairs == 2000 * 10 + (103 + 50) * 100 * boxes
+
+
+def perfbench_workload(name):
+    """A workload of perfbench/workloads.py, which writes the benchmark's
+    seeded inputs and the CLI arguments that run them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:  # registered first, as its dataclasses look themselves up
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
+class TestEngineChoice:
+    """The cost rule of `_pass` on the benchmark's inputs and on the case
+    where the band wins."""
+
+    @pytest.mark.parametrize("name, engine", [
+        ("u8_4mpx_segment", "band"), ("unit_1mpx_denoise", "band"),
+        ("float_q4096_denoise", "box")])
+    def test_benchmark_inputs(self, name, engine, tmp_path, monkeypatch):
+        # seed 1 through the CLI: the Q <= 256 inputs stay on the band in
+        # every pass, the float one (Q = N = 4096) takes the box in every one
+        import nfr.cli
+
+        wl = perfbench_workload(name)
+        wl.make_input(1, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert nfr.cli.main(wl.argv() + ["--report", "report.jsonl"]) == 0
+        report = json.loads((tmp_path / "report.jsonl").read_text())
+        assert report["engines"] == [engine] * (report["iterations"] + 1)
+        assert (report["q"] <= 256) == (engine == "band")
+
+    @pytest.mark.parametrize("q, ratio, engine", [
+        (2000, 300.0, "band"), (2000, 13.0, "box"), (256, 13.0, "band"), (4096, 300.0, "band")])
+    def test_uniform_levels(self, q, ratio, engine):
+        # few levels spread wide leave most of the 2400 boxes of 300 h at
+        # h/8 empty, and the band computes a tenth of Q^2
+        v, h = box_gate_levels(ratio, q)
+        assert nfr.filter1d._pass(make_kernel("gaussian", h), v, v.values)[3] == engine
